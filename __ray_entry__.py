@@ -76,14 +76,14 @@ def _kg_eval(sf_dir: str):
 
 
 def _ner_entities(sf_dir: str):
-    """Flattened final entity rows (dictionary+transformer NER after the
-    full doc-local cascade)."""
+    """Flattened final entity rows (the default step group: dictionary NER
+    after the full doc-local cascade)."""
     import pyarrow as pa
 
-    from kazu_ray.pipelines.kg import annotate
+    from kazu_ray.pipelines.config import PipelineConfig, build
     from kazu_ray.sources.interleave import interleaved_docs
 
-    ann = annotate(interleaved_docs(sf_dir), _dicts())
+    ann = build(interleaved_docs(sf_dir), _dicts(), PipelineConfig())
 
     def flatten(t: pa.Table) -> pa.Table:
         doc_ids, span_idx, match, ecls, ns, start, end, mapped = [], [], [], [], [], [], [], []

@@ -45,7 +45,7 @@ def q_ab_test(sf_dir: str):
     import polars as pl
     import ray.data as rd
 
-    from ..functions.rounding import round_half_away
+    from ..functions.rounding import round_half_away, sql_div
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts", "event_id"]
@@ -104,10 +104,15 @@ def q_ab_test(sf_dir: str):
 
     n_a, conv_a = rolled.get("A", (0, 0))
     n_b, conv_b = rolled.get("B", (0, 0))
-    cvr_a = conv_a / n_a
-    cvr_b = conv_b / n_b
-    p = (conv_a + conv_b) / (n_a + n_b)
-    z = (cvr_a - cvr_b) / math.sqrt(p * (1 - p) * (1.0 / n_a + 1.0 / n_b))
+    # an empty variant or a pooled p of 0 / 1 divides by zero: the
+    # oracle's answer is NULL, not an error
+    cvr_a = sql_div(conv_a, n_a)
+    cvr_b = sql_div(conv_b, n_b)
+    p = sql_div(conv_a + conv_b, n_a + n_b)
+    z = sql_div(
+        cvr_a - cvr_b,
+        math.sqrt(p * (1 - p) * (sql_div(1.0, n_a) + sql_div(1.0, n_b))),
+    )
     return pd.DataFrame(
         [
             {

@@ -109,7 +109,7 @@ def q_annotator_agreement(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from ..functions.rounding import round_half_away
+    from ..functions.rounding import round_half_away, sql_div
 
     ds = rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
@@ -126,9 +126,9 @@ def q_annotator_agreement(sf_dir: str):
             for lb in LABELS
         )
     )
-    po = diag / n
-    pe = s / (n * n)
-    kappa = (po - pe) / (1 - pe)
+    po = sql_div(diag, n)
+    pe = sql_div(s, n * n)
+    kappa = sql_div(po - pe, 1 - pe)  # NULL when pe == 1, as in the oracle
     out = cells.sort_values(["label_a", "label_b"]).reset_index(drop=True)
     out["po"] = float(round_half_away(po, 6))
     out["pe"] = float(round_half_away(pe, 6))

@@ -1,4 +1,5 @@
-"""Rounding helpers matching SQL ROUND semantics (half away from zero).
+"""Arithmetic helpers matching SQL semantics: ROUND (half away from
+zero) and division by zero.
 
 Python's round()/np.round use banker's rounding; DuckDB rounds half away
 from zero.  Every value that is compared against a DuckDB oracle must be
@@ -18,6 +19,13 @@ def round_half_away(x, ndigits: int):
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
         return float(out)
     return out
+
+
+def sql_div(a, b) -> float:
+    """``a / b`` as DuckDB computes it: NULL (NaN here, as DuckDB's
+    DataFrames show it) when the divisor is 0; NaN operands propagate
+    like NULL."""
+    return a / b if b else float("nan")
 
 
 def pc_round_sql(arr, ndigits: int):

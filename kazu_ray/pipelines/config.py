@@ -38,7 +38,6 @@ class PipelineConfig:
     batch_size: int = 256
     concurrency: int = 4
     actor_num_cpus: float = 1.0
-    skip_doc_len: int = 200_000
     xrefs: bool = False
     # "mock" = gazetteer stand-in; a directory path = real checkpoint
     # (HF layout, loaded torch-lessly via state/numpy_bert.py).  The

@@ -1,21 +1,17 @@
-"""The flagship KG-construction pipeline.
+"""The flagship KG-construction pipeline: the fused throughput path.
 
-Two equivalent paths over interleaved docs (doc_id, spans):
-
-- ``annotate()``: staged actor pools (dictionary NER -> optional
-  transformer NER -> fuzzy linking -> doc-local post-processing),
-  returning docs with a final ``entities`` column — the
-  inspection/debug/entity-level path.
-- ``edges_pipeline()``: the throughput path — ONE fused actor pool
-  (NER + abbrev + cascade + cleanup + merge + triple emission per doc,
-  python dicts in-memory between the fused steps), then the per-batch
-  combiner and the two-tier canonicalization (mentions bypass the
-  shuffle; ontology-bounded preds aggregate).
-
-Both mirror the reference's default step order
+``edges_pipeline()`` runs ONE fused actor pool over interleaved docs
+(doc_id, spans): dictionary NER + abbrev + cascade + cleanup + merge +
+triple emission per doc, python dicts in-memory between the fused steps,
+then the per-batch combiner and the two-tier canonicalization (mentions
+bypass the shuffle; ontology-bounded preds aggregate).  It mirrors the
+reference's default step order
 (/root/reference/kazu/conf/Pipeline/default.yaml:4-12) with the
-document-local steps fused (SURVEY.md §7 stage 6).  The ``spans`` column
-is never modified by any stage (per-row span-sequence invariant).
+document-local steps fused (SURVEY.md §7 stage 6).  The staged,
+entity-level view of the same step list is ``pipelines.config.build``;
+both share ``DictionaryNer.flatten_spans`` (span flatten + over-length
+guard).  The ``spans`` column is never modified by any stage (per-row
+span-sequence invariant).
 
 Resumability: ``run_partitioned`` splits the input by doc_id-hash into
 named partitions; each partition writes ``edges/part=K`` plus a
@@ -35,90 +31,16 @@ import pyarrow as pa
 from ..ontology.compile import CompiledDicts
 from ..stages.dict_ner import DictionaryNer
 from ..stages.doc_post import DocPostProcessor
-from ..stages.triples import canonicalize_edges, emit_triples_batch, nodes_from_edges
-
-# prefilter guard, reference pipeline.py:138-155 (skip_doc_len)
-MAX_DOC_CHARS = 200_000
+from ..stages.triples import canonicalize_edges, nodes_from_edges
 
 
 def prefilter_batch(batch):
     """Tag over-long docs with an error instead of dropping them
     (dead-letter semantics, reference Pipeline.prefilter_docs:195-209)."""
-    import polars as pl
-    import pyarrow as pa
-
-    totals = (
-        pl.from_arrow(batch.select(["spans"]))["spans"]
-        .list.eval(pl.element().struct.field("text").str.len_chars())
-        .list.sum()
-        .fill_null(0)
-        .to_list()
-    )
-    err = pa.array(
-        [None if t <= MAX_DOC_CHARS else f"doc too long: {t} chars" for t in totals],
-        type=pa.string(),
-    )
+    _flat, _bounds, errors = DictionaryNer.flatten_spans(batch)
     if "error" in batch.schema.names:
         batch = batch.drop_columns(["error"])
-    return batch.append_column("error", err)
-
-
-def annotate(docs_ds, dicts: CompiledDicts, *, ner_concurrency=4, post_concurrency=4,
-             batch_size=256, include_transformer: bool = False,
-             actor_num_cpus: float = 1):
-    """docs Dataset -> docs Dataset with final ``entities`` column.
-
-    Stage order mirrors the reference default pipeline
-    (conf/Pipeline/default.yaml): string-matching NER -> [transformer
-    NER -> fuzzy linking] -> doc-local post-processing.  The transformer
-    stage is opt-in: its tagger is the torch-free stand-in
-    (stages/transformer_ner.py docstring) which adds no recall over the
-    dictionary on the synthetic fixtures; enable it when a real
-    checkpoint is available (it becomes the GPU actor pool).
-
-    All stateful stages are autoscaling actor pools (min 1) so they can
-    never reserve every cluster CPU and starve the read/shuffle tasks.
-    """
-    def _pool(c):
-        return (1, c) if isinstance(c, int) else c
-
-    ds = docs_ds.map_batches(prefilter_batch, batch_format="pyarrow")
-    ds = ds.map_batches(
-        DictionaryNer,
-        fn_constructor_args=(dicts.curations_path, dicts.synonyms_path),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_pool(ner_concurrency),
-        num_cpus=actor_num_cpus,
-    )
-    if include_transformer:
-        from ..stages.linking import TfIdfLinker
-        from ..stages.transformer_ner import TransformerNer
-
-        ds = ds.map_batches(
-            TransformerNer,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=_pool(ner_concurrency),
-            num_cpus=actor_num_cpus,  # num_gpus=k with a real checkpoint
-        )
-        ds = ds.map_batches(
-            TfIdfLinker,
-            fn_constructor_args=(dicts.synonyms_path,),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=_pool(ner_concurrency),
-            num_cpus=actor_num_cpus,
-        )
-    ds = ds.map_batches(
-        DocPostProcessor,
-        fn_constructor_args=(dicts.synonyms_path, dicts.metadata_path),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_pool(post_concurrency),
-        num_cpus=actor_num_cpus,
-    )
-    return ds
+    return batch.append_column("error", pa.array(errors, type=pa.string()))
 
 
 class AnnotateEmitTriples:
@@ -128,7 +50,8 @@ class AnnotateEmitTriples:
     One Arrow decode per doc row, python dicts flow between the fused
     steps in-memory, and only the (small) triple columns are re-encoded —
     no nested ``entities`` column round-trips through the object store.
-    The conceptual stages are the same classes used by ``annotate()``.
+    The conceptual stages are the same classes ``pipelines.config.build``
+    runs as separate pools.
     """
 
     def __init__(
@@ -151,55 +74,30 @@ class AnnotateEmitTriples:
         self.emit_dead_letter = emit_dead_letter
 
     def __call__(self, batch):
-        import numpy as np
-        import polars as pl
-        import pyarrow.compute as pc
-
-        from ..stages.triples import doc_triples, new_triple_columns, triple_columns_to_table
+        from ..stages.triples import (
+            doc_triples,
+            new_triple_columns,
+            partial_edge_agg,
+            triple_columns_to_table,
+        )
 
         out = new_triple_columns()
-        errors = (
-            batch.column("error").to_pylist()
-            if "error" in batch.schema.names
-            else [None] * len(batch)
-        )
-        # columnar extraction: only the text field leaves Arrow, and it
-        # goes Arrow -> polars natively.  Python strings are materialized
-        # ONLY for docs with at least one automaton hit (for the
-        # boundary checks + doc-local post steps) — zero-hit docs emit no
-        # triples by construction, so they never round-trip to Python.
-        spans_col = batch.column("spans")
-        lengths = pc.list_value_length(spans_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat_text = pc.list_flatten(spans_col).combine_chunks().field("text")
-        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
+        # Python strings are materialized ONLY for docs with at least one
+        # automaton hit (for the boundary checks + doc-local post steps) —
+        # zero-hit docs emit no triples by construction, so they never
+        # round-trip to Python.  Skipped docs (upstream error or over
+        # length) never reach the automaton.
+        flat_text, bounds, errors, per_span = self.ner.match_batch(batch)
         doc_ids = batch.column("doc_id").to_pylist()
-        # vectorized per-doc char totals for the skip-doc guard
-        char_lens = pc.utf8_length(flat_text).to_numpy(zero_copy_only=False).astype(np.int64)
-        ccum = np.zeros(len(char_lens) + 1, dtype=np.int64)
-        np.cumsum(char_lens, out=ccum[1:])
-        totals = ccum[bounds[1:]] - ccum[bounds[:-1]]
-        # skip-doc guard + dead-letter masking BEFORE matching, so the
-        # automaton never sees skipped docs
-        skip = [False] * len(doc_ids)
         dead_rows: list[tuple[str, str]] = []
-        skip_span_idx: list[int] = []
-        s = pl.from_arrow(flat_text)
-        for r, err in enumerate(errors):
-            if err is not None or totals[r] > MAX_DOC_CHARS:
-                skip[r] = True  # reference skip_doc_len guard, pipeline.py:138-155
-                if self.emit_dead_letter:
-                    dead_rows.append(
-                        (str(doc_ids[r]), err or f"doc too long: {totals[r]} chars")
-                    )
-                skip_span_idx.extend(range(bounds[r], bounds[r + 1]))
-        if skip_span_idx:
-            s = s.scatter(skip_span_idx, "")
-        # ONE native automaton pass over every span in the batch
-        span_idxs = np.arange(bounds[-1], dtype=np.int64) - np.repeat(bounds[:-1], lengths)
-        per_span = self.ner.match_series(s, span_idxs)
+        if self.emit_dead_letter:
+            dead_rows = [
+                (str(doc_id), err)
+                for doc_id, err in zip(doc_ids, errors)
+                if err is not None
+            ]
         for r, doc_id in enumerate(doc_ids):
-            if skip[r]:
+            if errors[r] is not None:
                 continue
             lo, hi = bounds[r], bounds[r + 1]
             try:
@@ -227,8 +125,6 @@ class AnnotateEmitTriples:
         # apply the per-batch combiner at the source: the actor's output
         # is already partial edge rows, so downstream skips a full map
         # pass and ships ~40% fewer rows through the object store
-        from ..stages.triples import partial_edge_agg
-
         edges = partial_edge_agg(triple_columns_to_table(out))
         if not self.emit_dead_letter:
             return edges
@@ -291,7 +187,7 @@ def edges_pipeline(
         num_cpus=1,
     )
     if not with_dead_letter:
-        return canonicalize_edges(triples, pre_aggregated=True)
+        return canonicalize_edges(triples)
 
     import pyarrow.compute as pc
 
@@ -309,21 +205,7 @@ def edges_pipeline(
         )
 
     dl = partial.map_batches(_dl_rows, batch_format="pyarrow")
-    return canonicalize_edges(partial, pre_aggregated=True), dl
-
-
-def build_graph(annotated_ds, dicts: CompiledDicts):
-    """annotated docs -> (edges Dataset [materialized, small], nodes Dataset).
-
-    Single pass over the corpus: edges are canonicalized and materialized
-    (their size is bounded by distinct triples, not by corpus size), and
-    the node table is derived from them + the metadata side table, so the
-    document stream is consumed exactly once.
-    """
-    triples = annotated_ds.map_batches(emit_triples_batch, batch_format="pyarrow")
-    edges = canonicalize_edges(triples).materialize()
-    nodes = nodes_from_edges(edges, dicts.metadata_path)
-    return edges, nodes
+    return canonicalize_edges(partial), dl
 
 
 def run_partitioned(
@@ -334,7 +216,6 @@ def run_partitioned(
     num_partitions: int = 4,
     resume: bool = True,
     ner_concurrency=4,
-    post_concurrency=4,
 ) -> dict:
     """Partitioned, resumable end-to-end run over documents.parquet.
 

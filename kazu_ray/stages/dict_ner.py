@@ -13,9 +13,6 @@ tokenizer), mirroring the semantics the reference backfills via its
 custom tokenizer (:97-100, 181-186); case-sensitivity and cross-parser
 max-confidence resolution follow :102-106 and :152-175.
 
-A pure-python token-n-gram fallback is retained for environments whose
-polars lacks the extract_many/find_many APIs.
-
 State (match table + synonym records) is built once per actor in
 ``__init__`` from the compiled parquet side tables.
 """
@@ -26,9 +23,12 @@ import pyarrow as pa
 
 from ..constants import NS_DICT_NER
 from ..functions.normalize import normalize
-from ..functions.tokens import is_token_end, is_token_start, tokenize
+from ..functions.tokens import is_token_end, is_token_start
 from ..schemas import ENTITIES_COLUMN
 from ..state.side_tables import load_match_table, load_synonyms
+
+# over-length doc guard, reference pipeline.py:138-155
+MAX_DOC_CHARS = 200_000
 
 
 class DictionaryNer:
@@ -50,7 +50,6 @@ class DictionaryNer:
                 if not e.original_case.isascii():
                     patterns.add(e.original_case)
         self.patterns = sorted(patterns)
-        self._polars_ok: bool | None = None
         # per-surface emission template cache: everything in an emitted
         # entity except (span_idx, start, end) is a pure function of the
         # exact matched surface string, and a corpus repeats a small set
@@ -128,18 +127,6 @@ class DictionaryNer:
     # native batch path (polars aho-corasick)
     # ------------------------------------------------------------------
 
-    def _polars_available(self) -> bool:
-        if self._polars_ok is None:
-            try:
-                import polars as pl
-
-                pl.Series([""]).str.find_many(["x"])
-                pl.Series([""]).str.extract_many(["x"])
-                self._polars_ok = True
-            except Exception:  # pragma: no cover - env without the APIs
-                self._polars_ok = False
-        return self._polars_ok
-
     def match_texts(self, texts: list[str], span_idxs: list[int]) -> list[list[dict]]:
         """One automaton pass over many span texts; returns entity lists
         parallel to ``texts`` (span_idx taken from ``span_idxs``)."""
@@ -163,11 +150,6 @@ class DictionaryNer:
         n = len(s)
         if not self.patterns or n == 0:
             return [[] for _ in range(n)]
-        if not self._polars_available():  # pragma: no cover - env fallback
-            return [
-                self._match_span_python(t, int(si))
-                for t, si in zip(s.to_list(), span_idxs)
-            ]
         starts_col = s.str.find_many(
             self.patterns, ascii_case_insensitive=True, overlapping=True
         ).to_list()
@@ -194,56 +176,76 @@ class DictionaryNer:
             out[row] = ents
         return out
 
-    def match_span_text(self, text: str, span_idx: int, toks=None) -> list[dict]:
+    def match_span_text(self, text: str, span_idx: int) -> list[dict]:
         """Single-span convenience wrapper (same semantics as the batch
-        path; ``toks`` is accepted for API compatibility)."""
+        path)."""
         return self.match_texts([text], [span_idx])[0]
 
     # ------------------------------------------------------------------
-    # python fallback: token-n-gram hash join
+    # doc batches: one span flatten + over-length guard for every path
     # ------------------------------------------------------------------
 
-    def _match_span_python(self, text: str, span_idx: int) -> list[dict]:
-        toks = tokenize(text)
-        ltext = text.lower()
-        if len(ltext) != len(text):  # rare unicode case-fold length change
-            ltext = "".join(c.lower()[0] if c.lower() else c for c in text)
-        lowered = [ltext[t.start:t.end] for t in toks]
-        n_toks = len(toks)
-        by_surface = self.table.by_surface
-        first = self.table.first_tokens
-        max_n = self.table.max_tokens
-        found: list[dict] = []
-        for i in range(n_toks):
-            if lowered[i] not in first:
-                continue
-            start = toks[i].start
-            for n in range(1, min(max_n, n_toks - i) + 1):
-                end = toks[i + n - 1].end
-                if ltext[start:end] in by_surface:
-                    self._emit(text, span_idx, start, end, text[start:end], found)
-        return found
+    @staticmethod
+    def flatten_spans(batch: pa.Table):
+        """Flatten a doc batch's span texts and apply the over-length guard.
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+        Returns ``(flat_text, bounds, errors)``: doc ``r``'s span texts are
+        ``flat_text[bounds[r]:bounds[r + 1]]`` and ``errors[r]`` is the
+        doc's upstream ``error``, else the over-length reason (reference
+        Pipeline.prefilter_docs:195-209), else None.
+        """
         import numpy as np
-        import polars as pl
         import pyarrow.compute as pc
 
-        errors = (
+        spans_col = batch.column("spans")
+        lengths = pc.fill_null(pc.list_value_length(spans_col), 0)
+        bounds = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum(lengths.to_numpy(zero_copy_only=False), out=bounds[1:])
+        flat_text = pc.list_flatten(spans_col).combine_chunks().field("text")
+        # vectorized per-doc char totals
+        char_lens = pc.fill_null(pc.utf8_length(flat_text), 0)
+        ccum = np.zeros(len(flat_text) + 1, dtype=np.int64)
+        np.cumsum(char_lens.to_numpy(zero_copy_only=False), out=ccum[1:])
+        totals = (ccum[bounds[1:]] - ccum[bounds[:-1]]).tolist()
+        upstream = (
             batch.column("error").to_pylist()
             if "error" in batch.schema.names
             else [None] * len(batch)
         )
-        spans_col = batch.column("spans")
-        lengths = pc.list_value_length(spans_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat_text = pc.list_flatten(spans_col).combine_chunks().field("text")
-        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        # one automaton pass over every span of every doc in the batch;
-        # the text column goes Arrow -> polars natively (no Python strings
-        # except for spans that actually hit the automaton)
-        span_idxs = np.arange(bounds[-1], dtype=np.int64) - np.repeat(bounds[:-1], lengths)
-        per_span = self.match_series(pl.from_arrow(flat_text), span_idxs)
+        errors = [
+            err if err is not None
+            else f"doc too long: {t} chars" if t > MAX_DOC_CHARS
+            else None
+            for err, t in zip(upstream, totals)
+        ]
+        return flat_text, bounds, errors
+
+    def match_batch(self, batch: pa.Table):
+        """``flatten_spans`` plus ONE automaton pass over every span of
+        every doc in the batch; returns ``(flat_text, bounds, errors,
+        per_span)``.  Skipped docs' spans are blanked first, so the
+        automaton never sees them.  The text column goes Arrow -> polars
+        natively (no Python strings except for spans that hit)."""
+        import numpy as np
+        import polars as pl
+
+        flat_text, bounds, errors = self.flatten_spans(batch)
+        s = pl.from_arrow(flat_text)
+        skip_span_idx = [
+            i
+            for r, err in enumerate(errors)
+            if err is not None
+            for i in range(bounds[r], bounds[r + 1])
+        ]
+        if skip_span_idx:
+            s = s.scatter(skip_span_idx, "")
+        span_idxs = np.arange(bounds[-1], dtype=np.int64) - np.repeat(
+            bounds[:-1], np.diff(bounds)
+        )
+        return flat_text, bounds, errors, self.match_series(s, span_idxs)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        _flat, bounds, errors, per_span = self.match_batch(batch)
         entities_per_doc: list[list[dict]] = []
         for r, err in enumerate(errors):
             ents: list[dict] = []

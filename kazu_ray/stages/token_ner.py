@@ -39,16 +39,22 @@ class TokenPhraseNer(DictionaryNer):
                 self._phrases.add(toks)
                 self._max_len = max(self._max_len, len(toks))
 
-    def match_span_text(self, text: str, span_idx: int, toks=None) -> list[dict]:
-        toks = toks if toks is not None else tokenize(text)
-        out: list[dict] = []
-        n = len(toks)
-        for i in range(n):
-            upper = min(self._max_len, n - i)
-            for length in range(1, upper + 1):
-                key = tuple(toks[j].text.lower() for j in range(i, i + length))
-                if key in self._phrases:
-                    start = toks[i].start
-                    end = toks[i + length - 1].end
-                    self._emit(text, span_idx, start, end, text[start:end], out)
+    def match_series(self, s, span_idxs) -> list[list[dict]]:
+        """Token-window matching over a polars String Series; same
+        contract as :meth:`DictionaryNer.match_series`, so the inherited
+        ``__call__`` / ``match_span_text`` run this matcher."""
+        out: list[list[dict]] = []
+        for text, span_idx in zip(s.to_list(), span_idxs):
+            ents: list[dict] = []
+            toks = tokenize(text)
+            n = len(toks)
+            for i in range(n):
+                upper = min(self._max_len, n - i)
+                for length in range(1, upper + 1):
+                    key = tuple(toks[j].text.lower() for j in range(i, i + length))
+                    if key in self._phrases:
+                        start = toks[i].start
+                        end = toks[i + length - 1].end
+                        self._emit(text, int(span_idx), start, end, text[start:end], ents)
+            out.append(ents)
         return out

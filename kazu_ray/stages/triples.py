@@ -59,13 +59,14 @@ def triple_columns_to_table(out: dict) -> pa.Table:
 
 
 def emit_triples_batch(batch: pa.Table) -> pa.Table:
-    """map_batches UDF: doc rows (with final ``entities``) -> triple rows."""
+    """map_batches UDF: doc rows (with final ``entities``) -> partial edge
+    rows (triples through the per-batch combiner, like the fused actor)."""
     out = new_triple_columns()
     for doc_id, ents in zip(
         batch.column("doc_id").to_pylist(), batch.column("entities").to_pylist()
     ):
         doc_triples(doc_id, ents, out)
-    return triple_columns_to_table(out)
+    return partial_edge_agg(triple_columns_to_table(out))
 
 
 def partial_edge_agg(batch: pa.Table) -> pa.Table:
@@ -85,22 +86,19 @@ def partial_edge_agg(batch: pa.Table) -> pa.Table:
 
 
 _EDGE_MERGE_PARTS = 24  # ontology-bounded key space: a few coarse buckets
+_NODE_PARTS = 8
 
 
-def _edge_merge_part(t: pa.Table) -> pa.Table:
-    """Stable coarse partition by hash of the (subj, pred, obj) key."""
+def _hash_part(t: pa.Table, keys: list[str], n_parts: int) -> pa.Table:
+    """Append a stable coarse ``part`` column: hash of the key columns
+    (seed 7) mod ``n_parts``."""
     import polars as pl
 
     if t.num_rows == 0:
         return t.append_column("part", pa.array([], pa.int64()))
     h = (
-        pl.from_arrow(t.select(["subj", "pred", "obj"]))
-        .select(
-            part=pl.concat_str(
-                [pl.col("subj"), pl.col("pred"), pl.col("obj")], separator="\x1f"
-            ).hash(seed=7)
-            % _EDGE_MERGE_PARTS
-        )["part"]
+        pl.from_arrow(t.select(keys))
+        .select(part=pl.concat_str(keys, separator="\x1f").hash(seed=7) % n_parts)["part"]
         .cast(pl.Int64)
     )
     return t.append_column("part", h.to_arrow())
@@ -117,12 +115,9 @@ def _merge_edge_partials(group: pa.Table) -> pa.Table:
     return out.rename_columns(["subj", "pred", "obj", "n_docs", "confidence"])
 
 
-def canonicalize_edges(triples_ds, pre_aggregated: bool = False):
-    """triples Dataset -> canonical edges Dataset.
-
-    ``pre_aggregated=True`` when upstream already applied the per-batch
-    combiner (the fused actor does) — the input is then edge-schema
-    partial rows rather than raw triples.
+def canonicalize_edges(partial_ds):
+    """partial edge rows (``partial_edge_agg`` output, as the fused actor
+    and ``emit_triples_batch`` emit) -> canonical edges Dataset.
 
     Two-tier canonicalization:
 
@@ -145,12 +140,7 @@ def canonicalize_edges(triples_ds, pre_aggregated: bool = False):
     """
     import pyarrow.compute as pc
 
-    if pre_aggregated:
-        partial = triples_ds.materialize()
-    else:
-        partial = triples_ds.map_batches(
-            partial_edge_agg, batch_format="pyarrow"
-        ).materialize()
+    partial = partial_ds.materialize()
     mentions = partial.map_batches(
         lambda t: t.filter(pc.equal(t["pred"], "mentions")), batch_format="pyarrow"
     )
@@ -164,7 +154,8 @@ def canonicalize_edges(triples_ds, pre_aggregated: bool = False):
     # the int-keyed exchange + pyarrow group_by is ~6x faster — the
     # same coarse-key pattern as relational.py / windows.py.)
     others_agg = others.map_batches(
-        _edge_merge_part, batch_format="pyarrow"
+        _hash_part, fn_args=(["subj", "pred", "obj"], _EDGE_MERGE_PARTS),
+        batch_format="pyarrow",
     ).groupby("part").map_groups(_merge_edge_partials, batch_format="pyarrow")
 
     def _to_edge_schema(t: pa.Table) -> pa.Table:
@@ -227,24 +218,12 @@ def nodes_from_edges(edges_ds, metadata_path: str):
     # python; rounds 1-3 used Ray's sort-based groupby-count for the
     # cross-block dedup — the int-keyed exchange is faster, same
     # reasoning as canonicalize_edges)
-    def _node_part(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        if t.num_rows == 0:
-            return t.append_column("part", pa.array([], pa.int64()))
-        h = (
-            pl.from_arrow(t.select(["curie"]))
-            .select(part=pl.col("curie").hash(seed=7) % 8)["part"]
-            .cast(pl.Int64)
-        )
-        return t.append_column("part", h.to_arrow())
-
     def _node_dedup(group: pa.Table) -> pa.Table:
         return pa.table({"curie": pc.unique(group.column("curie"))})
 
     return (
         edges_ds.map_batches(curie_batch, batch_format="pyarrow")
-        .map_batches(_node_part, batch_format="pyarrow")
+        .map_batches(_hash_part, fn_args=(["curie"], _NODE_PARTS), batch_format="pyarrow")
         .groupby("part")
         .map_groups(_node_dedup, batch_format="pyarrow")
         .map_batches(enrich, batch_format="pyarrow")

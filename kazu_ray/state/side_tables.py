@@ -83,28 +83,19 @@ def load_metadata(path: str) -> dict[tuple[str, str], dict]:
 
 @dataclass
 class MatchTable:
-    """Token-n-gram match dictionary: the Aho-Corasick-automaton equivalent.
+    """Surface-form match dictionary: the Aho-Corasick payload equivalent.
 
-    ``by_surface`` maps each *lowercased* surface form to its entries;
-    ``first_tokens`` and ``max_tokens`` let the matcher skip non-candidate
-    token positions in O(1).
+    ``by_surface`` maps each *lowercased* surface form to its entries.
     """
 
     by_surface: dict[str, list[MatchEntry]]
-    first_tokens: frozenset[str]
-    max_tokens: int
 
 
 def load_match_table(curations_path: str) -> MatchTable:
-    from ..functions.tokens import tokenize
-
     table = pq.read_table(curations_path)
     by_surface: dict[str, list[MatchEntry]] = {}
-    first_tokens: set[str] = set()
-    max_tokens = 1
     for r in table.to_pylist():
         surface = r["curated_synonym"]
-        key = surface.lower()
         entry = MatchEntry(
             parser_name=r["parser_name"],
             entity_class=r["entity_class"],
@@ -113,9 +104,5 @@ def load_match_table(curations_path: str) -> MatchTable:
             case_sensitive=r["case_sensitive"],
             mention_confidence=r["mention_confidence"],
         )
-        by_surface.setdefault(key, []).append(entry)
-        toks = tokenize(key)
-        if toks:
-            first_tokens.add(toks[0].text)
-            max_tokens = max(max_tokens, len(toks))
-    return MatchTable(by_surface=by_surface, first_tokens=frozenset(first_tokens), max_tokens=max_tokens)
+        by_surface.setdefault(surface.lower(), []).append(entry)
+    return MatchTable(by_surface=by_surface)

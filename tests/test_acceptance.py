@@ -59,7 +59,7 @@ def results(ray_session, compiled_dicts):
     import pyarrow as pa
     import ray.data as rd
 
-    from kazu_ray.pipelines.kg import annotate
+    from kazu_ray.pipelines.config import PipelineConfig, build
     from kazu_ray.schemas import DOCS_SCHEMA
 
     docs = rd.from_arrow(
@@ -68,7 +68,7 @@ def results(ray_session, compiled_dicts):
             schema=DOCS_SCHEMA,
         )
     )
-    ann = annotate(docs, compiled_dicts, ner_concurrency=1, post_concurrency=1)
+    ann = build(docs, compiled_dicts, PipelineConfig(concurrency=1))
     return {r["doc_id"]: r["entities"] for r in ann.take_all()}
 
 

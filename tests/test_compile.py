@@ -41,5 +41,3 @@ def test_match_table(compiled_dicts):
     assert any(e.case_sensitive for e in mt.by_surface["ad"])
     # long noun phrases are not
     assert all(not e.case_sensitive for e in mt.by_surface["non-small cell lung cancer"])
-    assert mt.max_tokens >= 5
-    assert "non-small" in mt.first_tokens  # hyphens not split

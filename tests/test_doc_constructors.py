@@ -2,10 +2,10 @@ from kazu_ray.sources.interleave import docs_from_sections, docs_from_texts
 
 
 def test_docs_from_texts(ray_session, compiled_dicts):
-    from kazu_ray.pipelines.kg import annotate
+    from kazu_ray.pipelines.config import PipelineConfig, build
 
     ds = docs_from_texts(["EGFR is a gene.", "melanoma was found."])
-    rows = annotate(ds, compiled_dicts, ner_concurrency=1, post_concurrency=1).take_all()
+    rows = build(ds, compiled_dicts, PipelineConfig(concurrency=1)).take_all()
     assert len(rows) == 2
     assert any(e["match"] == "EGFR" for e in rows[0]["entities"])
     assert any(e["match"] == "melanoma" for e in rows[1]["entities"])

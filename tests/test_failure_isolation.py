@@ -50,7 +50,7 @@ def test_dead_letter_side_output(compiled_dicts, monkeypatch):
     """emit_dead_letter: skipped + failed docs come back as side-output
     rows of the SAME batch call (no second scan), and edge rows carry
     null dl columns."""
-    from kazu_ray.pipelines.kg import MAX_DOC_CHARS
+    from kazu_ray.stages.dict_ner import MAX_DOC_CHARS
 
     actor = AnnotateEmitTriples(
         compiled_dicts.curations_path,
@@ -98,7 +98,8 @@ def test_edges_pipeline_dead_letter_dataset(ray_session, compiled_dicts):
     the bad doc, edges are identical to the plain path on the good docs."""
     import ray.data as rd
 
-    from kazu_ray.pipelines.kg import MAX_DOC_CHARS, edges_pipeline
+    from kazu_ray.pipelines.kg import edges_pipeline
+    from kazu_ray.stages.dict_ner import MAX_DOC_CHARS
 
     rows = [
         _doc("doc-long", "y" * (MAX_DOC_CHARS + 1)),

@@ -34,13 +34,13 @@ def test_add_sentence_spans_write_once():
 
 
 def test_entity_class_filter(ray_session, compiled_dicts):
-    from kazu_ray.pipelines.kg import annotate
+    from kazu_ray.pipelines.config import PipelineConfig, build
     from kazu_ray.sources.interleave import interleaved_docs
     from kazu_ray.stages.filters import filter_docs_with_entity_class
 
-    ann = annotate(
+    ann = build(
         interleaved_docs("/root/testdata/sf0.001"), compiled_dicts,
-        ner_concurrency=1, post_concurrency=1,
+        PipelineConfig(concurrency=1),
     ).materialize()
     total = ann.count()
     drugs = filter_docs_with_entity_class(ann, "drug").materialize()

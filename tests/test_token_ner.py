@@ -57,3 +57,21 @@ def test_token_match_step_group(ray_session, compiled_dicts):
     rows = out.take_all()
     ents = rows[0]["entities"]
     assert any(e["match"].lower() == "asthma" for e in ents)
+
+
+def test_call_runs_the_token_matcher(compiled_dicts):
+    """The inherited ``__call__`` goes through the token matcher: with
+    its phrase index emptied it finds nothing, where the char automaton
+    would find both surfaces."""
+    import pyarrow as pa
+
+    from kazu_ray.sources.interleave import interleave_batch
+    from kazu_ray.stages.token_ner import TokenPhraseNer
+
+    batch = interleave_batch(
+        pa.table({"doc_id": [1], "text": ["Asthma was treated with aspirin."]})
+    )
+    tok_ner = TokenPhraseNer(compiled_dicts.curations_path, compiled_dicts.synonyms_path)
+    assert tok_ner(batch).column("entities").to_pylist()[0]
+    tok_ner._phrases = set()
+    assert tok_ner(batch).column("entities").to_pylist() == [[]]

@@ -14,6 +14,7 @@ def test_no_hyphen_split():
     assert toks("ALK-Abello and EGFR-positive cases") == [
         "ALK-Abello", "and", "EGFR-positive", "cases",
     ]
+    assert toks("non-small cell lung cancer") == ["non-small", "cell", "lung", "cancer"]
 
 
 def test_parens_and_slash():

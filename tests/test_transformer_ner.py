@@ -96,19 +96,19 @@ def test_full_path_with_transformer(ray_session, compiled_dicts):
     """Dictionary + transformer NER + linking + post must not change the
     final triple set on fixtures (the mock tagger's finds duplicate
     dictionary hits and merge picks one winner)."""
-    from kazu_ray.pipelines.kg import annotate, build_graph
+    from kazu_ray.pipelines.config import PipelineConfig, build
     from kazu_ray.sources.interleave import golden_triples_table, interleaved_docs
+    from kazu_ray.stages.triples import canonicalize_edges, emit_triples_batch
 
     sf = "/root/testdata/sf0.001"
     # 4 actor pools in a 4-CPU test session: fractional CPUs per actor so
     # the pools can't reserve every slot and starve the read tasks
-    ann = annotate(
+    ann = build(
         interleaved_docs(sf), compiled_dicts,
-        ner_concurrency=1, post_concurrency=1, include_transformer=True,
-        actor_num_cpus=0.5,
+        PipelineConfig.from_group("full", concurrency=1, actor_num_cpus=0.5),
     )
-    edges, _nodes = build_graph(ann, compiled_dicts)
-    e = edges.to_pandas()
+    partial = ann.map_batches(emit_triples_batch, batch_format="pyarrow")
+    e = canonicalize_edges(partial).to_pandas()
     golden = golden_triples_table(sf).to_pandas()
     got = set(zip(e.subj, e.pred, e.obj))
     exp = set(zip(golden.subj, golden.pred, golden.obj))
