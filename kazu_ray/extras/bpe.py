@@ -7,9 +7,9 @@ factors exactly into the shape this repo is built on:
 1. FIT (distributed, exact) — BPE training never needs the corpus, only
    the WORD-FREQUENCY table (Sennrich et al. 2016 §3.2 operate on a
    dictionary of words with counts).  One tokenize pass emits per-batch
-   (word, n) combiner partials; a coarse ``crc32(word) % nparts``
-   int-keyed exchange merges them exactly (the same two-step count as
-   extras/collocations.py).  The result is vocab-sized — 1e6-ish rows at
+   (word, n) combiner partials; the ``hash(word)`` exchange
+   (``exchange.hash_reduce``) merges them exactly (the same two-step
+   count as extras/collocations.py).  The result is vocab-sized — 1e6-ish rows at
    web scale, not corpus-sized — and optionally capped to the top-V
    words by (count desc, word asc) for a hard driver bound.
 2. MERGE LEARNING (driver, bounded) — the classic greedy loop over the
@@ -37,6 +37,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 _WORD_RE = r"[a-z0-9]+"
 END = "</w>"
 N_MERGES = 120
@@ -46,9 +48,7 @@ N_MERGES = 120
 # distributed word-frequency fit
 
 
-def _word_partials(t: pa.Table, text: str, nparts: int) -> pa.Table:
-    import zlib
-
+def _word_partials(t: pa.Table, text: str) -> pa.Table:
     import polars as pl
 
     cnt = (
@@ -59,15 +59,10 @@ def _word_partials(t: pa.Table, text: str, nparts: int) -> pa.Table:
         .group_by("w")
         .len()
     )
-    words = cnt["w"].to_list()
     return pa.table(
         {
-            "word": pa.array(words, pa.string()),
+            "word": pa.array(cnt["w"].to_list(), pa.string()),
             "n": pa.array(cnt["len"].to_numpy().astype(np.int64)),
-            "part": pa.array(
-                np.asarray([zlib.crc32(w.encode()) for w in words], dtype=np.int64)
-                % nparts
-            ),
         }
     )
 
@@ -77,11 +72,11 @@ DEFAULT_TOP_V = 1 << 17  # 131,072 distinct words — plenty for any
 # of singleton words); the DEFAULT hard bound on driver-side state.
 
 
-def _merge_words(g, top_v=None):
+def _merge_words(t: pa.Table, top_v=None):
     import pandas as pd
 
     out = pd.DataFrame(
-        g.groupby("word", sort=False, as_index=False)["n"].sum()
+        t.to_pandas().groupby("word", sort=False, as_index=False)["n"].sum()
     )
     if top_v:
         # per-partition truncation: the GLOBAL top_v by (n desc, word
@@ -114,17 +109,10 @@ def word_counts(ds, text: str = "text", nparts: int | None = None,
             "(per-partition truncation; driver sees <= %d rows)",
             top_v, nparts * top_v,
         )
-    out = (
-        ds.map_batches(
-            _word_partials,
-            fn_kwargs={"text": text, "nparts": nparts},
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(_merge_words, fn_kwargs={"top_v": top_v},
-                    batch_format="pandas")
-        .to_pandas()
-    )
+    out = hash_reduce(
+        ds.map_batches(_word_partials, fn_kwargs={"text": text}, batch_format="pyarrow"),
+        ["word"], lambda g: _merge_words(g, top_v), nparts,
+    ).to_pandas()
     if out.empty:  # token-less corpus: keep the schema stable
         out = pd.DataFrame({"word": pd.Series([], dtype=str),
                             "n": pd.Series([], dtype="int64")})

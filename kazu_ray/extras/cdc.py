@@ -26,11 +26,11 @@ Chunker (``chunk_spans``) — vectorised, no per-byte Python loop:
 Distributed shape — identical to chunk_dedup's round-5 hash-only
 classification exchange:
 
-1. scan 1 ships KEYS ONLY: (h1, h2, doc_id, chunk_no, part) where
-   (h1, h2) is the split 128-bit md5 of the chunk bytes (~40 B/row);
-2. coarse exchange on ``h1 % P``; sort + ``is_first_distinct`` over
-   (h1, h2) marks the global keep-first winner; ONLY losers leave as
-   thin (doc_id, chunk_no) verdicts;
+1. scan 1 ships KEYS ONLY: (h1, h2, doc_id, chunk_no) where (h1, h2)
+   is the split 128-bit md5 of the chunk bytes (~40 B/row);
+2. the ``hash(h1)`` exchange runs chunk_dedup's reducer: sort +
+   ``is_first_distinct`` over (h1, h2) marks the global keep-first
+   winner; ONLY losers leave as thin (doc_id, chunk_no) verdicts;
 3. verdict apply routed by measured loser count: broadcast anti-join
    (text never crosses an exchange; corpus scanned twice from
    storage) or co-group fallback on hash(doc_id) (text crosses ONE
@@ -55,6 +55,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..context import shuffle_partitions
+from ..exchange import hash_reduce
+from .chunk_dedup import _losers_in_partition
 
 # rolling-hash multiplier (odd => invertible mod 2^64) and its inverse
 _P = np.uint64(0x9E3779B97F4A7C15)
@@ -147,7 +149,7 @@ def _split_md5(chunk: bytes) -> tuple[int, int]:
     )
 
 
-def _keys_batch(batch: pa.Table, nparts: int) -> pa.Table:
+def _keys_batch(batch: pa.Table) -> pa.Table:
     """Scan-1 map: keys only — chunk bytes never leave the task."""
     h1s, h2s, dids, cnos = [], [], [], []
     for did, text in zip(
@@ -159,42 +161,14 @@ def _keys_batch(batch: pa.Table, nparts: int) -> pa.Table:
             h2s.append(h2)
             dids.append(did)
             cnos.append(no)
-    h1a = np.array(h1s, dtype=np.uint64)
     return pa.table(
         {
-            "h1": pa.array(h1a, type=pa.uint64()),
+            "h1": pa.array(np.array(h1s, dtype=np.uint64), type=pa.uint64()),
             "h2": pa.array(np.array(h2s, dtype=np.uint64), type=pa.uint64()),
             "doc_id": pa.array(dids, type=pa.int64()),
             "chunk_no": pa.array(cnos, type=pa.int64()),
-            "part": pa.array(
-                (h1a % np.uint64(nparts)).astype(np.int64), type=pa.int64()
-            ),
         }
     )
-
-
-def _make_losers(nparts: int):
-    """Coarse-partition reducer: keep-first winner per (h1, h2) by
-    smallest (doc_id, chunk_no); emit ONLY losers as thin verdicts."""
-
-    def losers(group):
-        import polars as pl
-
-        df = (
-            pl.from_pandas(group[["h1", "h2", "doc_id", "chunk_no"]])
-            .sort("h1", "h2", "doc_id", "chunk_no")
-            .with_columns(keep=pl.struct("h1", "h2").is_first_distinct())
-        )
-        return (
-            df.filter(~pl.col("keep"))
-            .select("doc_id", "chunk_no")
-            .with_columns(
-                dpart=(pl.col("doc_id").hash(seed=3) % nparts).cast(pl.Int64)
-            )
-            .to_pandas()
-        )
-
-    return losers
 
 
 def _reassemble(doc_id: int, chunks: list[bytes], keep: list[bool]) -> dict:
@@ -243,42 +217,31 @@ _UNION_SCHEMA = pa.schema(
         ("doc_id", pa.int64()),
         ("chunk_no", pa.int64()),
         ("chunk", pa.binary()),
-        ("dpart", pa.int64()),
         ("verdict", pa.bool_()),
     ]
 )
 
 
-def _make_doc_rows(nparts: int):
+def _doc_rows(batch: pa.Table) -> pa.Table:
     """Fallback scan-2 map: chunk DATA rows for the co-group exchange
     (the one path where text crosses a wire — exactly once)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        dids, cnos, chunks = [], [], []
-        for did, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            for _, no, chunk in _doc_chunks(did, text):
-                dids.append(did)
-                cnos.append(no)
-                chunks.append(chunk)
-        import polars as pl
-
-        dpart = (
-            pl.Series("d", dids, dtype=pl.Int64).hash(seed=3) % nparts
-        ).cast(pl.Int64).to_numpy()
-        return pa.table(
-            {
-                "doc_id": pa.array(dids, type=pa.int64()),
-                "chunk_no": pa.array(cnos, type=pa.int64()),
-                "chunk": pa.array(chunks, type=pa.binary()),
-                "dpart": pa.array(dpart, type=pa.int64()),
-                "verdict": pa.array([False] * len(dids), type=pa.bool_()),
-            },
-            schema=_UNION_SCHEMA,
-        )
-
-    return fn
+    dids, cnos, chunks = [], [], []
+    for did, text in zip(
+        batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
+    ):
+        for _, no, chunk in _doc_chunks(did, text):
+            dids.append(did)
+            cnos.append(no)
+            chunks.append(chunk)
+    return pa.table(
+        {
+            "doc_id": pa.array(dids, type=pa.int64()),
+            "chunk_no": pa.array(cnos, type=pa.int64()),
+            "chunk": pa.array(chunks, type=pa.binary()),
+            "verdict": pa.array([False] * len(dids), type=pa.bool_()),
+        },
+        schema=_UNION_SCHEMA,
+    )
 
 
 def _verdict_rows(batch: pa.Table) -> pa.Table:
@@ -288,18 +251,18 @@ def _verdict_rows(batch: pa.Table) -> pa.Table:
             "doc_id": batch.column("doc_id"),
             "chunk_no": batch.column("chunk_no"),
             "chunk": pa.nulls(n, pa.binary()),
-            "dpart": batch.column("dpart"),
             "verdict": pa.array([True] * n, pa.bool_()),
         },
         schema=_UNION_SCHEMA,
     )
 
 
-def _cogroup_reassemble(group):
-    """One dpart partition holds every chunk row of its docs AND their
+def _cogroup_reassemble(t: pa.Table):
+    """One doc_id partition holds every chunk row of its docs AND their
     loser verdicts; anti-join in-partition and reassemble."""
     import pandas as pd
 
+    group = t.to_pandas()
     drops = set(
         zip(
             group.loc[group["verdict"], "doc_id"],
@@ -328,14 +291,8 @@ def cdc_dedup(
 
     nparts = num_partitions or shuffle_partitions()
 
-    losers = (
-        docs_ds.map_batches(
-            lambda b: _keys_batch(b, nparts), batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(_make_losers(nparts), batch_format="pandas")
-        .materialize()
-    )
+    keys = docs_ds.map_batches(_keys_batch, batch_format="pyarrow")
+    losers = hash_reduce(keys, ["h1"], _losers_in_partition, nparts).materialize()
     n_losers = losers.count()
 
     if n_losers <= broadcast_max_losers:
@@ -358,12 +315,10 @@ def cdc_dedup(
             concurrency=(1, 8),
         )
 
-    doc_rows = docs_ds.map_batches(_make_doc_rows(nparts), batch_format="pyarrow")
+    doc_rows = docs_ds.map_batches(_doc_rows, batch_format="pyarrow")
     verdict_rows = losers.map_batches(_verdict_rows, batch_format="pyarrow")
-    return (
-        doc_rows.union(verdict_rows)
-        .groupby("dpart")
-        .map_groups(_cogroup_reassemble, batch_format="pandas")
+    return hash_reduce(
+        doc_rows.union(verdict_rows), ["doc_id"], _cogroup_reassemble, nparts
     )
 
 

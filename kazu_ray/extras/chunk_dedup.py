@@ -14,13 +14,13 @@ Shape — HASH-ONLY classification exchange + size-routed verdict apply
 (round 5; the round-4 design shipped chunk TEXT through both of its
 exchanges, ~2x corpus bytes total):
 
-1. ``map_batches`` scan 1 → KEYS ONLY: (h1, h2, doc_id, chunk_no,
-   part) where (h1, h2) is a 128-bit composite of two independent
+1. ``map_batches`` scan 1 → KEYS ONLY: (h1, h2, doc_id, chunk_no)
+   where (h1, h2) is a 128-bit composite of two independent
    64-bit hashes of the chunk text (collision odds ~n^2 / 2^128 —
    ~3e-15 at 10^12 chunks; documented seam, same class as md5-keyed
    dedup everywhere else in this repo).  ~40 B/row crosses the wire
    instead of the 60-600 B chunk text — the ~10x byte cut.
-2. coarse exchange on ``h1 % P``: every copy of a chunk text lands in
+2. the ``hash(h1)`` exchange: every copy of a chunk text lands in
    one partition; a sort + ``is_first_distinct`` over (h1, h2) marks
    the global winner.  ONLY LOSERS leave the partition, as thin
    (doc_id, chunk_no) verdict rows — dup_fraction x n_chunks x 16 B.
@@ -55,6 +55,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..context import input_bytes, shuffle_partitions
+from ..exchange import hash_reduce
 
 _WORD_RE = r"[a-z0-9]+"
 DEFAULT_K = 10
@@ -98,17 +99,15 @@ def _chunks_pl(batch: pa.Table, k: int):
     )
 
 
-def _chunk_keys_batch(batch: pa.Table, k: int, nparts: int) -> pa.Table:
-    """Scan-1 map: keys only — (h1, h2, doc_id, chunk_no, part).  The
-    chunk text itself never leaves this task."""
+def _chunk_keys_batch(batch: pa.Table, k: int) -> pa.Table:
+    """Scan-1 map: keys only — (h1, h2, doc_id, chunk_no).  The chunk
+    text itself never leaves this task."""
     import polars as pl
 
     out = _chunks_pl(batch, k).with_columns(
         h1=pl.col("chunk").hash(seed=7),
         h2=pl.col("chunk").hash(seed=13),
-    ).with_columns(part=(pl.col("h1") % nparts).cast(pl.Int64)).select(
-        "h1", "h2", "doc_id", "chunk_no", "part"
-    )
+    ).select("h1", "h2", "doc_id", "chunk_no")
     return out.to_arrow().cast(
         pa.schema(
             [
@@ -116,36 +115,25 @@ def _chunk_keys_batch(batch: pa.Table, k: int, nparts: int) -> pa.Table:
                 ("h2", pa.uint64()),
                 ("doc_id", pa.int64()),
                 ("chunk_no", pa.int64()),
-                ("part", pa.int64()),
             ]
         )
     )
 
 
-def _make_losers_in_partition(nparts: int):
-    """Within one coarse key partition (which holds EVERY occurrence of
-    each of its chunk texts): the global first occurrence per (h1, h2)
-    — smallest (doc_id, chunk_no) — wins; emit ONLY the losers as thin
-    (doc_id, chunk_no, dpart) verdict rows."""
+def _losers_in_partition(group: pa.Table) -> pa.Table:
+    """Within one h1 partition (which holds EVERY occurrence of each of
+    its chunk texts): the global first occurrence per (h1, h2) —
+    smallest (doc_id, chunk_no) — wins; emit ONLY the losers as thin
+    (doc_id, chunk_no) verdict rows."""
+    import polars as pl
 
-    def losers(group) -> "object":
-        import polars as pl
-
-        df = (
-            pl.from_pandas(group[["h1", "h2", "doc_id", "chunk_no"]])
-            .sort("h1", "h2", "doc_id", "chunk_no")
-            .with_columns(keep=pl.struct("h1", "h2").is_first_distinct())
-        )
-        out = (
-            df.filter(~pl.col("keep"))
-            .select("doc_id", "chunk_no")
-            .with_columns(
-                dpart=(pl.col("doc_id").hash(seed=3) % nparts).cast(pl.Int64)
-            )
-        )
-        return out.to_pandas()
-
-    return losers
+    return (
+        pl.from_arrow(group.select(["h1", "h2", "doc_id", "chunk_no"]))
+        .sort("h1", "h2", "doc_id", "chunk_no")
+        .filter(~pl.struct("h1", "h2").is_first_distinct())
+        .select("doc_id", "chunk_no")
+        .to_arrow()
+    )
 
 
 def _reassemble_pl(marked, keep_col: str = "keep"):
@@ -201,16 +189,15 @@ class _ApplyVerdictsBroadcast:
                                     preserve_index=False)
 
 
-def _make_doc_rows_batch(k: int, nparts: int):
-    """Fallback scan-2 map: (doc_id, chunk_no, chunk, dpart, verdict)
-    data rows for the co-group exchange."""
+def _make_doc_rows_batch(k: int):
+    """Fallback scan-2 map: (doc_id, chunk_no, chunk, verdict) data rows
+    for the co-group exchange."""
     import polars as pl
 
     def fn(batch: pa.Table) -> pa.Table:
-        out = _chunks_pl(batch, k).with_columns(
-            dpart=(pl.col("doc_id").hash(seed=3) % nparts).cast(pl.Int64),
-            verdict=pl.lit(False),
-        ).select("doc_id", "chunk_no", "chunk", "dpart", "verdict")
+        out = _chunks_pl(batch, k).with_columns(verdict=pl.lit(False)).select(
+            "doc_id", "chunk_no", "chunk", "verdict"
+        )
         return out.to_arrow().cast(_UNION_SCHEMA)
 
     return fn
@@ -221,35 +208,33 @@ _UNION_SCHEMA = pa.schema(
         ("doc_id", pa.int64()),
         ("chunk_no", pa.int64()),
         ("chunk", pa.string()),
-        ("dpart", pa.int64()),
         ("verdict", pa.bool_()),
     ]
 )
 
 
 def _verdict_rows_batch(batch: pa.Table) -> pa.Table:
-    """Fallback: loser (doc_id, chunk_no, dpart) rows cast onto the
-    union schema (chunk NULL, verdict TRUE)."""
+    """Fallback: loser (doc_id, chunk_no) rows cast onto the union
+    schema (chunk NULL, verdict TRUE)."""
     n = batch.num_rows
     return pa.table(
         {
             "doc_id": batch.column("doc_id"),
             "chunk_no": batch.column("chunk_no"),
             "chunk": pa.nulls(n, pa.string()),
-            "dpart": batch.column("dpart"),
             "verdict": pa.array([True] * n, pa.bool_()),
         },
         schema=_UNION_SCHEMA,
     )
 
 
-def _reassemble_with_verdicts(group) -> "object":
-    """Co-group reducer: one dpart partition holds every chunk row of
+def _reassemble_with_verdicts(group: pa.Table) -> "object":
+    """Co-group reducer: one doc_id partition holds every chunk row of
     its docs AND their loser verdicts; anti-join in-partition and
     reassemble."""
     import polars as pl
 
-    df = pl.from_pandas(group[["doc_id", "chunk_no", "chunk", "verdict"]])
+    df = pl.from_arrow(group.select(["doc_id", "chunk_no", "chunk", "verdict"]))
     data = df.filter(~pl.col("verdict"))
     drops = (
         df.filter(pl.col("verdict"))
@@ -278,14 +263,8 @@ def chunk_dedup(
 
     nparts = num_partitions or shuffle_partitions()
 
-    losers = (
-        docs_ds.map_batches(
-            lambda b: _chunk_keys_batch(b, k, nparts), batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(_make_losers_in_partition(nparts), batch_format="pandas")
-        .materialize()
-    )
+    keys = docs_ds.map_batches(lambda b: _chunk_keys_batch(b, k), batch_format="pyarrow")
+    losers = hash_reduce(keys, ["h1"], _losers_in_partition, nparts).materialize()
     n_losers = losers.count()
 
     if n_losers <= broadcast_max_losers:
@@ -309,14 +288,10 @@ def chunk_dedup(
         )
 
     # co-group fallback: verdicts + re-chunked doc rows, one exchange
-    doc_rows = docs_ds.map_batches(
-        _make_doc_rows_batch(k, nparts), batch_format="pyarrow"
-    )
+    doc_rows = docs_ds.map_batches(_make_doc_rows_batch(k), batch_format="pyarrow")
     verdict_rows = losers.map_batches(_verdict_rows_batch, batch_format="pyarrow")
-    return (
-        doc_rows.union(verdict_rows)
-        .groupby("dpart")
-        .map_groups(_reassemble_with_verdicts, batch_format="pandas")
+    return hash_reduce(
+        doc_rows.union(verdict_rows), ["doc_id"], _reassemble_with_verdicts, nparts
     )
 
 

@@ -15,9 +15,8 @@ Scale shape (the combiner-before-shuffle discipline):
    and bigrams together — the per-batch polars group_by caps each
    batch's contribution at its distinct-gram count, and the totals
    (N1, N12) ride along as two scalar rows per batch.
-2. A coarse ``crc32(gram) % nparts`` int-keyed exchange (the measured
-   6-18x-cheaper pattern vs Ray's sort-based string groupby — see
-   BASELINE.md round-3/4 notes) merges partials exactly per partition;
+2. The ``hash(gram)`` exchange (``exchange.hash_reduce``) merges
+   partials exactly per partition;
    bigrams below min_count are dropped INSIDE the partition, so the
    surviving bigram side is bounded by the noise floor.
 3. Only the bounded frequent-bigram table is collected; unigram counts
@@ -37,17 +36,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 _WORD_RE = r"[a-z0-9]+"
 MIN_COUNT = 5
 _KIND_UNI, _KIND_BIG, _KIND_N1, _KIND_N12 = 0, 1, 2, 3
 
 
-def _gram_partials(t: pa.Table, text: str, nparts: int) -> pa.Table:
-    """One batch -> (gram, n, kind, part) partial counts; kind 2/3 rows
-    (one each per batch, routed to part 0) carry the batch's token and
-    bigram totals."""
-    import zlib
-
+def _gram_partials(t: pa.Table, text: str) -> pa.Table:
+    """One batch -> (gram, n, kind) partial counts; kind 2/3 rows (one
+    each per batch, gram "" so they share a partition) carry the batch's
+    token and bigram totals."""
     import polars as pl
 
     df = (
@@ -72,26 +71,24 @@ def _gram_partials(t: pa.Table, text: str, nparts: int) -> pa.Table:
         grams += gs
         ns += frame["n"].to_list()
         kinds += [kind] * len(gs)
-    parts = [zlib.crc32(g.encode()) % nparts for g in grams]
-    # batch totals, one row each, merged exactly in partition 0
+    # batch totals, one row each, merged exactly in one partition
     grams += ["", ""]
     ns += [int(uni["n"].sum() or 0), int(big["n"].sum() or 0)]
     kinds += [_KIND_N1, _KIND_N12]
-    parts += [0, 0]
     return pa.table(
         {
             "gram": pa.array(grams, pa.string()),
             "n": pa.array(np.asarray(ns, dtype=np.int64)),
             "kind": pa.array(np.asarray(kinds, dtype=np.int64)),
-            "part": pa.array(np.asarray(parts, dtype=np.int64)),
         }
     )
 
 
-def _merge_counts(g, min_count: int):
+def _merge_counts(t: pa.Table, min_count: int):
     """Exact per-partition merge; bigrams filtered to >= min_count."""
     import pandas as pd
 
+    g = t.to_pandas()
     merged = g.groupby(["kind", "gram"], sort=False, as_index=False)["n"].sum()
     keep = merged[(merged["kind"] != _KIND_BIG) | (merged["n"] >= min_count)]
     return pd.DataFrame(keep)
@@ -109,17 +106,10 @@ def pmi_bigrams(ds, text: str = "text", min_count: int = MIN_COUNT,
     from ..context import shuffle_partitions as _sp
 
     nparts = nparts or _sp()
-    merged = (
-        ds.map_batches(
-            _gram_partials,
-            fn_kwargs={"text": text, "nparts": nparts},
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(_merge_counts, fn_kwargs={"min_count": min_count},
-                    batch_format="pandas")
-        .materialize()
-    )
+    merged = hash_reduce(
+        ds.map_batches(_gram_partials, fn_kwargs={"text": text}, batch_format="pyarrow"),
+        ["gram"], lambda g: _merge_counts(g, min_count), nparts,
+    ).materialize()
     # bounded: frequent bigrams + 2 totals rows
     bigs = [
         (r["gram"], int(r["n"]))

@@ -14,7 +14,7 @@ Scale story (no all-to-all on document data):
 - FIT: per-batch (bucket, n) partials — the per-batch combiner caps
   each batch's contribution at ``n_buckets`` rows because the feature
   space is FIXED by construction (the paper's core trick) — then a
-  coarse ``bucket % nparts`` exchange and vectorized in-partition sums;
+  ``hash(bucket)`` exchange and vectorized in-partition sums;
   the merged table is exactly <= n_buckets rows, independent of corpus
   size.  Both distributions (raw corpus, target subset) come from the
   SAME single streaming pass (target membership is a predicate).
@@ -39,6 +39,8 @@ import re
 
 import numpy as np
 import pyarrow as pa
+
+from ..exchange import hash_reduce
 
 _WORD_RE = r"[a-z0-9]+"
 _WORD_RE_C = re.compile(_WORD_RE)
@@ -72,7 +74,7 @@ def _doc_buckets(tokens: list[str], memo: dict) -> dict[int, int]:
     return counts
 
 
-def _fit_partials(batch: pa.Table, nparts: int) -> pa.Table:
+def _fit_partials(batch: pa.Table) -> pa.Table:
     """Per-batch combiner: (bucket, n_raw, n_target) rows, <= N_BUCKETS
     per batch by construction."""
     import polars as pl
@@ -96,22 +98,21 @@ def _fit_partials(batch: pa.Table, nparts: int) -> pa.Table:
             "bucket": pa.array(nz, type=pa.int64()),
             "n_raw": pa.array(raw[nz], type=pa.int64()),
             "n_target": pa.array(tgt[nz], type=pa.int64()),
-            "part": pa.array(nz % nparts, type=pa.int64()),
         }
     )
 
 
-def _sum_part(group):
+def _sum_part(group: pa.Table) -> pa.Table:
     import polars as pl
 
     return (
-        pl.from_pandas(group[["bucket", "n_raw", "n_target"]])
+        pl.from_arrow(group.select(["bucket", "n_raw", "n_target"]))
         .group_by("bucket")
         .agg(
             n_raw=pl.col("n_raw").sum().cast(pl.Int64),
             n_target=pl.col("n_target").sum().cast(pl.Int64),
         )
-        .to_pandas()
+        .to_arrow()
     )
 
 
@@ -121,14 +122,10 @@ def fit_log_ratio(docs_ds, num_partitions: int | None = None) -> np.ndarray:
     from ..context import shuffle_partitions as _sp
 
     nparts = num_partitions or _sp()
-    rows = (
-        docs_ds.map_batches(
-            _fit_partials, fn_kwargs={"nparts": nparts}, batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(_sum_part, batch_format="pandas")
-        .take_all()
-    )  # bounded: <= N_BUCKETS rows by construction
+    rows = hash_reduce(
+        docs_ds.map_batches(_fit_partials, batch_format="pyarrow"),
+        ["bucket"], _sum_part, nparts,
+    ).take_all()  # bounded: <= N_BUCKETS rows by construction
     raw = np.zeros(N_BUCKETS, dtype=np.float64)
     tgt = np.zeros(N_BUCKETS, dtype=np.float64)
     for r in rows:

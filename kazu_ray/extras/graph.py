@@ -31,6 +31,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from kazu_ray.exchange import hash_reduce
 from kazu_ray.joins import hash_join
 
 RANK_SCHEMA = pa.schema([("node", pa.int64()), ("rank", pa.float64())])
@@ -221,27 +222,6 @@ TRI_SCHEMA = pa.schema(
     [("node", pa.int64()), ("degree", pa.int64()), ("triangles", pa.int64())]
 )
 
-_H1 = 0x9E3779B97F4A7C15
-_H2 = 0xC2B2AE3D27D4EB4F
-
-
-def _pair_part(a, b, nparts: int):
-    """Deterministic partition id for a node pair (numpy int64 arrays)."""
-    import numpy as np
-
-    h = (a.astype(np.uint64) * np.uint64(_H1)) ^ (
-        b.astype(np.uint64) * np.uint64(_H2)
-    )
-    return ((h >> np.uint64(17)) % np.uint64(nparts)).astype(np.int64)
-
-
-def _node_part(n, nparts: int):
-    import numpy as np
-
-    h = n.astype(np.uint64) * np.uint64(_H1)
-    return ((h >> np.uint64(33)) % np.uint64(nparts)).astype(np.int64)
-
-
 def _triangles_driver(edges: pa.Table) -> pa.Table:
     """Exact bounded-input path: canonical edge set, degree-ordered
     orientation, per-edge sorted-neighbor intersection on the driver."""
@@ -323,13 +303,7 @@ def triangle_counts(
         keep = src != dst
         lo = np.minimum(src[keep], dst[keep])
         hi = np.maximum(src[keep], dst[keep])
-        return pa.table(
-            {
-                "part": pa.array(_pair_part(lo, hi, nparts)),
-                "u": pa.array(lo, pa.int64()),
-                "v": pa.array(hi, pa.int64()),
-            }
-        )
+        return pa.table({"u": pa.array(lo, pa.int64()), "v": pa.array(hi, pa.int64())})
 
     def dedup_part(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -343,12 +317,9 @@ def triangle_counts(
         )
 
     # global pair-dedup is correct because equal pairs share a partition
-    ded = (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_part, batch_format="pyarrow")
-        .materialize()
-    )
+    ded = hash_reduce(
+        edges.map_batches(canon, batch_format="pyarrow"), ["u", "v"], dedup_part, nparts
+    ).materialize()
 
     def endpoints(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -359,9 +330,7 @@ def triangle_counts(
                 t.column("v").to_numpy(zero_copy_only=False),
             ]
         ).astype(np.int64)
-        return pa.table(
-            {"npart": pa.array(_node_part(ns, nparts)), "node": pa.array(ns)}
-        )
+        return pa.table({"node": pa.array(ns)})
 
     def count_nodes(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -375,14 +344,9 @@ def triangle_counts(
             .cast(pa.schema([("node", pa.int64()), ("deg", pa.int64())]))
         )
 
-    deg = (
-        ded.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("npart")
-        .map_groups(count_nodes, batch_format="pyarrow")
-        .materialize()
-    )
-
-    from ..joins import hash_join
+    deg = hash_reduce(
+        ded.map_batches(endpoints, batch_format="pyarrow"), ["node"], count_nodes, nparts
+    ).materialize()
 
     e1 = hash_join(
         ded,
@@ -407,7 +371,6 @@ def triangle_counts(
 
     ORI_SCHEMA = pa.schema(
         [
-            ("spart", pa.int64()),
             ("src", pa.int64()),
             ("dst", pa.int64()),
             ("ddeg", pa.int64()),
@@ -427,7 +390,6 @@ def triangle_counts(
         dd = np.where(u_first, dv, du)
         return pa.table(
             {
-                "spart": pa.array(_node_part(s, nparts)),
                 "src": pa.array(s, pa.int64()),
                 "dst": pa.array(d, pa.int64()),
                 "ddeg": pa.array(dd, pa.int64()),
@@ -438,7 +400,6 @@ def triangle_counts(
 
     W_SCHEMA = pa.schema(
         [
-            ("wpart", pa.int64()),
             ("a", pa.int64()),
             ("b", pa.int64()),
             ("pivot", pa.int64()),
@@ -464,15 +425,10 @@ def triangle_counts(
         b = j.get_column("dst_r").to_numpy().astype(np.int64)
         piv = j.get_column("src").to_numpy().astype(np.int64)
         return pa.table(
-            {
-                "wpart": pa.array(_pair_part(a, b, nparts)),
-                "a": pa.array(a),
-                "b": pa.array(b),
-                "pivot": pa.array(piv),
-            }
+            {"a": pa.array(a), "b": pa.array(b), "pivot": pa.array(piv)}
         ).cast(W_SCHEMA)
 
-    w = ori.groupby("spart").map_groups(wedges, batch_format="pyarrow")
+    w = hash_reduce(ori, ["src"], wedges, nparts)
 
     def tag_edges(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -481,7 +437,6 @@ def triangle_counts(
         b = t.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "wpart": pa.array(_pair_part(a, b, nparts)),
                 "a": pa.array(a),
                 "b": pa.array(b),
                 "pivot": pa.array(np.full(len(a), -1, dtype=np.int64)),
@@ -505,17 +460,12 @@ def triangle_counts(
                 m.get_column("b").to_numpy(),
             ]
         ).astype(np.int64)
-        return pa.table(
-            {"npart": pa.array(_node_part(ns, nparts)), "node": pa.array(ns)}
-        ).cast(pa.schema([("npart", pa.int64()), ("node", pa.int64())]))
+        return pa.table({"node": pa.array(ns, pa.int64())})
 
-    tcnt = (
-        w.union(tagged)
-        .groupby("wpart")
-        .map_groups(match, batch_format="pyarrow")
-        .groupby("npart")
-        .map_groups(count_nodes, batch_format="pyarrow")
-        .rename_columns({"deg": "triangles"})
+    # wedges and closing edges meet per (a, b) pair in ONE exchange
+    closed = hash_reduce(w.union(tagged), ["a", "b"], match, nparts)
+    tcnt = hash_reduce(closed, ["node"], count_nodes, nparts).rename_columns(
+        {"deg": "triangles"}
     )
 
     out = hash_join(
@@ -637,7 +587,6 @@ def khop_distances(
     import ray.data as rd
 
     from ..context import shuffle_partitions
-    from ..joins import hash_join
 
     nparts = num_partitions or shuffle_partitions()
     edges = edges_ds.materialize()
@@ -687,17 +636,10 @@ def khop_distances(
         )
 
         def to_nodes(t: pa.Table) -> pa.Table:
-            ns = t.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {"npart": pa.array(_node_part(ns, nparts)), "node": pa.array(ns)}
-            )
+            return pa.table({"node": t.column("dst").cast(pa.int64())})
 
-        nxt = (
-            hits.map_batches(to_nodes, batch_format="pyarrow")
-            .groupby("npart")
-            .map_groups(
-                lambda t: dedup_nodes(t.select(["node"])), batch_format="pyarrow"
-            )
+        nxt = hash_reduce(
+            hits.map_batches(to_nodes, batch_format="pyarrow"), ["node"], dedup_nodes, nparts
         )
         frontier = hash_join(
             nxt,

@@ -49,6 +49,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 _SPLITMIX = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -73,8 +75,8 @@ def hash_init(n: int, dim: int, salt: int) -> np.ndarray:
 
 def build_vocab(triples_ds, num_partitions: int = 8):
     """(entities sorted list, relations sorted list) from a
-    (subj, pred, obj) string Dataset — distributed distinct via coarse
-    hash exchange; only the bounded distinct sets reach the driver."""
+    (subj, pred, obj) string Dataset — distributed distinct via the
+    hash(name) exchange; only the bounded distinct sets reach the driver."""
     import polars as pl
 
     def parts(t: pa.Table) -> pa.Table:
@@ -87,14 +89,8 @@ def build_vocab(triples_ds, num_partitions: int = 8):
         rel = df.select(pl.col("pred").alias("name")).with_columns(
             kind=pl.lit(1, dtype=pl.Int8)
         )
-        out = ent.vstack(rel).unique()
-        out = out.with_columns(
-            part=(pl.col("name").hash(seed=11) % num_partitions).cast(pl.Int64)
-        )
-        return out.to_arrow().cast(
-            pa.schema(
-                [("name", pa.large_string()), ("kind", pa.int8()), ("part", pa.int64())]
-            )
+        return ent.vstack(rel).unique().to_arrow().cast(
+            pa.schema([("name", pa.large_string()), ("kind", pa.int8())])
         )
 
     def uniq(t: pa.Table) -> pa.Table:
@@ -106,12 +102,9 @@ def build_vocab(triples_ds, num_partitions: int = 8):
             .cast(pa.schema([("name", pa.large_string()), ("kind", pa.int8())]))
         )
 
-    rows = (
-        triples_ds.map_batches(parts, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(uniq, batch_format="pyarrow")
-        .take_all()
-    )
+    rows = hash_reduce(
+        triples_ds.map_batches(parts, batch_format="pyarrow"), ["name"], uniq, num_partitions
+    ).take_all()
     entities = sorted(r["name"] for r in rows if r["kind"] == 0)
     relations = sorted(r["name"] for r in rows if r["kind"] == 1)
     return entities, relations

@@ -48,6 +48,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import hash_reduce
 from .quality import LM_VOCAB, _WORD_RE
 
 KN_D = 0.75
@@ -66,7 +67,7 @@ KN_SCHEMA = pa.schema(
 
 def _top_vocab(docs_ds, vocab_size: int, nparts: int):
     """Top-V corpus unigrams (count DESC, token ASC tie-break) — the
-    unigram LM's pass 1: per-batch combiner partials, coarse
+    unigram LM's pass 1: per-batch combiner partials, the
     hash(token) exchange, local top-V + total marker per partition,
     partition-bounded driver merge.  Returns the sorted vocab list."""
     import polars as pl
@@ -82,34 +83,27 @@ def _top_vocab(docs_ds, vocab_size: int, nparts: int):
             .rename({"ws": "token"})
             .group_by("token")
             .agg(n=pl.len().cast(pl.Int64))
-            .with_columns(
-                part=(pl.col("token").hash(seed=11) % nparts).cast(pl.Int64)
-            )
         )
         return out.to_arrow().cast(
-            pa.schema(
-                [("token", pa.string()), ("n", pa.int64()), ("part", pa.int64())]
-            )
+            pa.schema([("token", pa.string()), ("n", pa.int64())])
         )
 
-    def local_top(group) -> "object":
+    def local_top(group: pa.Table) -> pa.Table:
         df = (
-            pl.from_pandas(group[["token", "n"]])
+            pl.from_arrow(group.select(["token", "n"]))
             .group_by("token")
             .agg(c=pl.col("n").sum().cast(pl.Int64))
         )
         return (
             df.sort(["c", "token"], descending=[True, False])
             .head(vocab_size)
-            .to_pandas()
+            .to_arrow()
         )
 
-    rows = (
-        docs_ds.map_batches(token_partials, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(local_top, batch_format="pandas")
-        .take_all()
-    )
+    rows = hash_reduce(
+        docs_ds.map_batches(token_partials, batch_format="pyarrow"),
+        ["token"], local_top, nparts,
+    ).take_all()
     cand = [(r["token"], r["c"]) for r in rows]
     cand.sort(key=lambda x: (-x[1], x[0]))
     return [t for t, _c in cand[:vocab_size]]
@@ -160,12 +154,6 @@ def kn_bigram_scores(
             _doc_bigrams(batch, vset)
             .group_by(["prev", "cur"])
             .agg(n=pl.len().cast(pl.Int64))
-            .with_columns(
-                part=(
-                    (pl.col("prev").hash(seed=5) ^ pl.col("cur").hash(seed=7))
-                    % nparts
-                ).cast(pl.Int64)
-            )
         )
         return out.to_arrow().cast(
             pa.schema(
@@ -173,7 +161,6 @@ def kn_bigram_scores(
                     ("prev", pa.large_string()),
                     ("cur", pa.large_string()),
                     ("n", pa.int64()),
-                    ("part", pa.int64()),
                 ]
             )
         )
@@ -196,12 +183,10 @@ def kn_bigram_scores(
             )
         )
 
-    bc = (
-        docs_ds.map_batches(bigram_partials, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sum_part, batch_format="pyarrow")
-        .materialize()
-    )
+    bc = hash_reduce(
+        docs_ds.map_batches(bigram_partials, batch_format="pyarrow"),
+        ["prev", "cur"], sum_part, nparts,
+    ).materialize()
 
     # context / continuation stats: per-partition partials over the
     # (already globally unique) bigram rows; driver merges are

@@ -13,12 +13,12 @@ Two shuffles, both vectorized:
 
 1. ``map_batches`` → per-doc DISTINCT k-grams (polars shift/concat —
    the same window construction as extras/quality.py),
-2. coarse-partition exchange on ``hash(gram) % P`` (the minhash band
-   pattern, extras/dedup.py) — every copy of a gram lands in one
-   partition, where ONE vectorized polars group_by counts documents
-   per gram and emits (doc_id, is_dup) rows; no per-gram python groups,
-   and no hash-collision risk since the in-partition key is the string,
-3. ``groupby(doc_id)`` sum/count → per-doc totals, one IEEE division.
+2. the ``hash(gram)`` exchange (``exchange.hash_reduce``) — every
+   copy of a gram lands in one partition, where ONE vectorized polars
+   group_by counts documents per gram and emits per-doc partials; no
+   per-gram python groups, and no hash-collision risk since the
+   in-partition key is the string,
+3. the ``hash(doc_id)`` exchange sums per-doc totals, one IEEE division.
 
 At 100 TB the gram exchange is the dominant cost; it is a single
 all-to-all of (doc_id, gram-hash-bucketed) rows with per-partition size
@@ -35,6 +35,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..context import input_bytes, shuffle_partitions
+from ..exchange import hash_reduce
 
 _WORD_RE = r"[a-z0-9]+"
 DEFAULT_K = 5
@@ -49,9 +50,8 @@ PASSAGE_SCHEMA = pa.schema(
 )
 
 
-def _doc_grams_batch(batch: pa.Table, k: int, nparts: int) -> pa.Table:
-    """(doc_id, gram, part): distinct word k-grams per document, with
-    the coarse exchange partition precomputed."""
+def _doc_grams_batch(batch: pa.Table, k: int) -> pa.Table:
+    """(doc_id, gram): distinct word k-grams per document."""
     import polars as pl
 
     df = pl.from_arrow(batch.select(["doc_id", "text"])).with_columns(
@@ -68,78 +68,58 @@ def _doc_grams_batch(batch: pa.Table, k: int, nparts: int) -> pa.Table:
         .drop_nulls("gram")
         .select("doc_id", "gram")
         .unique()
-        .with_columns(
-            part=(pl.col("gram").hash(seed=7) % nparts).cast(pl.Int64)
-        )
     )
     return out.to_arrow().cast(
-        pa.schema(
-            [("doc_id", pa.int64()), ("gram", pa.string()), ("part", pa.int64())]
-        )
+        pa.schema([("doc_id", pa.int64()), ("gram", pa.string())])
     )
 
 
-def _make_count_in_partition(nparts: int):
-    """Vectorized within one coarse gram partition: per-gram doc count →
-    per-doc PARTIAL (n_grams, n_dup) sums, pre-keyed with the doc-side
-    coarse partition for the next exchange.  The partition holds every
+def _count_in_partition(group: pa.Table) -> pa.Table:
+    """Vectorized within one gram partition: per-gram doc count →
+    per-doc PARTIAL (n_grams, n_dup) sums.  The partition holds every
     copy of each of its grams, so dup flags are exact; emitting partials
     (≤ docs-per-partition rows) instead of per-gram rows keeps the
     second exchange small."""
+    import polars as pl
 
-    def count(group) -> "object":
-        import polars as pl
-
-        df = pl.from_pandas(group[["doc_id", "gram"]])
-        partial = (
-            df.with_columns(
-                is_dup=(pl.col("gram").count().over("gram") >= 2).cast(pl.Int64)
-            )
-            .group_by("doc_id")
-            .agg(
-                n_grams=pl.len().cast(pl.Int64),
-                n_dup=pl.col("is_dup").sum().cast(pl.Int64),
-            )
-            .with_columns(
-                dpart=(pl.col("doc_id").hash(seed=3) % nparts).cast(pl.Int64)
-            )
+    return (
+        pl.from_arrow(group.select(["doc_id", "gram"]))
+        .with_columns(
+            is_dup=(pl.col("gram").count().over("gram") >= 2).cast(pl.Int64)
         )
-        return partial.to_pandas()
+        .group_by("doc_id")
+        .agg(
+            n_grams=pl.len().cast(pl.Int64),
+            n_dup=pl.col("is_dup").sum().cast(pl.Int64),
+        )
+        .to_arrow()
+    )
 
-    return count
 
-
-def _merge_doc_partials(group) -> "object":
+def _merge_doc_partials(group: pa.Table) -> pa.Table:
     """Final per-doc totals + one IEEE division, vectorized over the
-    doc-side coarse partition."""
+    doc-side partition."""
     import polars as pl
 
     df = (
-        pl.from_pandas(group[["doc_id", "n_grams", "n_dup"]])
+        pl.from_arrow(group.select(["doc_id", "n_grams", "n_dup"]))
         .group_by("doc_id")
         .agg(pl.col("n_grams").sum(), pl.col("n_dup").sum())
         .with_columns(dup_frac=pl.col("n_dup") / pl.col("n_grams"))
         .select("doc_id", "n_grams", "n_dup", "dup_frac")
     )
-    return df.to_pandas()
+    return df.to_arrow()
 
 
 def duplicated_passages(docs_ds, k: int = DEFAULT_K, num_partitions: int | None = None):
-    """Per-doc duplicated-passage stats dataset (PASSAGE_SCHEMA).
-
-    Both exchanges use the coarse-key + vectorized map_groups pattern
-    (Ray's sort-based ``aggregate`` measured 15-20× slower than a
-    polars group_by inside ~P coarse groups on this shape)."""
+    """Per-doc duplicated-passage stats dataset (PASSAGE_SCHEMA):
+    a gram-keyed exchange, then a doc-keyed one."""
     nparts = num_partitions or shuffle_partitions()
     grams = docs_ds.map_batches(
-        lambda b: _doc_grams_batch(b, k, nparts), batch_format="pyarrow"
+        lambda b: _doc_grams_batch(b, k), batch_format="pyarrow"
     )
-    partials = grams.groupby("part").map_groups(
-        _make_count_in_partition(nparts), batch_format="pandas"
-    )
-    out = partials.groupby("dpart").map_groups(
-        _merge_doc_partials, batch_format="pandas"
-    )
+    partials = hash_reduce(grams, ["gram"], _count_in_partition, nparts)
+    out = hash_reduce(partials, ["doc_id"], _merge_doc_partials, nparts)
     return out.map_batches(
         lambda b: b.select(PASSAGE_SCHEMA.names).cast(PASSAGE_SCHEMA),
         batch_format="pyarrow",
@@ -201,7 +181,7 @@ def decontaminate(docs_ds, benchmark_grams: set[str], k: int = DEFAULT_K):
         import ray as _ray
 
         bl = _ray.get(bl_ref)
-        grams = pl.from_arrow(_doc_grams_batch(batch, k, nparts=1))
+        grams = pl.from_arrow(_doc_grams_batch(batch, k))
         hits = (
             grams.with_columns(hit=pl.col("gram").is_in(bl))
             .group_by("doc_id")
@@ -246,7 +226,7 @@ def benchmark_gram_set(sf_dir: str, k: int = DEFAULT_K) -> set[str]:
         sub = b.filter(pa.array((bid % BENCH_MOD) == 0))
         if sub.num_rows == 0:
             return pa.table({"gram": pa.array([], type=pa.string())})
-        g = _doc_grams_batch(sub, k, nparts=1)
+        g = _doc_grams_batch(sub, k)
         return pa.table({"gram": pc.unique(g.column("gram"))})
 
     out: set[str] = set()

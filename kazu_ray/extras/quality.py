@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 STOPWORDS = ("the", "and", "of", "to", "is", "in", "that")
 _WORD_RE = r"[a-z0-9]+"
 
@@ -366,21 +368,17 @@ def rare_token_ratio(docs_ds, threshold: int = RARE_THRESHOLD,
             # combiner: occurrences -> (doc_id, token, n) before shuffle
             .group_by("doc_id", "token")
             .agg(n=pl.len().cast(pl.Int64))
-            .with_columns(
-                part=(pl.col("token").hash(seed=5) % nparts).cast(pl.Int64)
-            )
         )
         return out.to_arrow().cast(
             pa.schema(
-                [("doc_id", pa.int64()), ("token", pa.string()),
-                 ("n", pa.int64()), ("part", pa.int64())]
+                [("doc_id", pa.int64()), ("token", pa.string()), ("n", pa.int64())]
             )
         )
 
-    def count_part(group) -> "object":
-        df = pl.from_pandas(group[["doc_id", "token", "n"]])
-        partial = (
-            df.with_columns(
+    def count_part(group: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(group.select(["doc_id", "token", "n"]))
+            .with_columns(
                 rare=(pl.col("n").sum().over("token") <= threshold)
             )
             .group_by("doc_id")
@@ -390,28 +388,24 @@ def rare_token_ratio(docs_ds, threshold: int = RARE_THRESHOLD,
                 .fill_null(0)
                 .cast(pl.Int64),
             )
-            .with_columns(
-                dpart=(pl.col("doc_id").hash(seed=9) % nparts).cast(pl.Int64)
-            )
+            .to_arrow()
         )
-        return partial.to_pandas()
 
-    def merge_doc(group) -> "object":
+    def merge_doc(group: pa.Table) -> pa.Table:
         df = (
-            pl.from_pandas(group[["doc_id", "n_tokens", "n_rare"]])
+            pl.from_arrow(group.select(["doc_id", "n_tokens", "n_rare"]))
             .group_by("doc_id")
             .agg(pl.col("n_tokens").sum(), pl.col("n_rare").sum())
             .with_columns(rare_frac=pl.col("n_rare") / pl.col("n_tokens"))
             .select("doc_id", "n_tokens", "n_rare", "rare_frac")
         )
-        return df.to_pandas()
+        return df.to_arrow()
 
+    partials = hash_reduce(
+        docs_ds.map_batches(tokens, batch_format="pyarrow"), ["token"], count_part, nparts
+    )
     return (
-        docs_ds.map_batches(tokens, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_part, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(merge_doc, batch_format="pandas")
+        hash_reduce(partials, ["doc_id"], merge_doc, nparts)
         .map_batches(
             lambda b: b.select(RARE_SCHEMA.names).cast(RARE_SCHEMA),
             batch_format="pyarrow",
@@ -562,15 +556,12 @@ def unigram_lm_scores(docs_ds, vocab_size: int = LM_VOCAB,
             .rename({"ws": "token"})
             .group_by("token")
             .agg(n=pl.len().cast(pl.Int64))
-            .with_columns(part=(pl.col("token").hash(seed=11) % nparts).cast(pl.Int64))
         )
-        return out.to_arrow().cast(
-            pa.schema([("token", pa.string()), ("n", pa.int64()), ("part", pa.int64())])
-        )
+        return out.to_arrow().cast(pa.schema([("token", pa.string()), ("n", pa.int64())]))
 
-    def local_top(group) -> "object":
+    def local_top(group: pa.Table) -> pa.Table:
         df = (
-            pl.from_pandas(group[["token", "n"]])
+            pl.from_arrow(group.select(["token", "n"]))
             .group_by("token")
             .agg(c=pl.col("n").sum().cast(pl.Int64))
         )
@@ -579,12 +570,11 @@ def unigram_lm_scores(docs_ds, vocab_size: int = LM_VOCAB,
         # marker row carries this partition's total occurrence count;
         # "" can never collide with a real [a-z0-9]+ token
         marker = pl.DataFrame({"token": [""], "c": [total]}).cast({"c": pl.Int64})
-        return pl.concat([top, marker]).to_pandas()
+        return pl.concat([top, marker]).to_arrow()
 
-    counts = (
-        docs_ds.map_batches(token_partials, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(local_top, batch_format="pandas")
+    counts = hash_reduce(
+        docs_ds.map_batches(token_partials, batch_format="pyarrow"),
+        ["token"], local_top, nparts,
     )
     # bounded driver merge: <= partitions x (V+1) rows by construction
     rows = counts.take_all()

@@ -42,13 +42,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 _WORD_RE = r"[a-z0-9]+"
 
 K1 = 1.2
 B = 0.75
 
 _PAIR_SCHEMA = pa.schema(
-    [("token", pa.string()), ("doc_id", pa.int64()), ("part", pa.int64())]
+    [("token", pa.string()), ("doc_id", pa.int64())]
 )
 
 INDEX_SCHEMA = pa.schema(
@@ -69,9 +71,8 @@ BM25_SCHEMA = pa.schema(
 )
 
 
-def _doc_token_pairs(batch: pa.Table, nparts: int) -> pa.Table:
-    """Distinct (token, doc_id) pairs of one batch, pre-keyed with the
-    coarse token-hash exchange partition."""
+def _doc_token_pairs(batch: pa.Table) -> pa.Table:
+    """Distinct (token, doc_id) pairs of one batch."""
     import polars as pl
 
     out = (
@@ -83,15 +84,13 @@ def _doc_token_pairs(batch: pa.Table, nparts: int) -> pa.Table:
         .explode("token")
         .drop_nulls("token")
         .unique()
-        .with_columns(part=(pl.col("token").hash(seed=11) % nparts).cast(pl.Int64))
-        .select("token", "doc_id", "part")
+        .select("token", "doc_id")
     )
     return out.to_arrow().cast(_PAIR_SCHEMA)
 
 
 def _make_postings(max_df: int | None):
-    """Vectorized posting-list aggregation inside one coarse token
-    partition (the partition holds EVERY pair of each of its tokens, so
+    """Vectorized posting-list aggregation inside one token partition (the partition holds EVERY pair of each of its tokens, so
     df and the list are exact and complete)."""
 
     def agg(group):
@@ -128,12 +127,8 @@ def build_inverted_index(
     max_df = None
     if max_df_ratio is not None:
         max_df = int(max_df_ratio * docs_ds.count())
-    pairs = docs_ds.map_batches(
-        lambda b: _doc_token_pairs(b, nparts), batch_format="pyarrow"
-    )
-    return pairs.groupby("part").map_groups(
-        _make_postings(max_df), batch_format="pyarrow"
-    )
+    pairs = docs_ds.map_batches(_doc_token_pairs, batch_format="pyarrow")
+    return hash_reduce(pairs, ["token"], _make_postings(max_df), nparts)
 
 
 def _corpus_stats(docs_ds, vocab: list[str]) -> tuple[int, float, dict[str, int]]:

@@ -29,9 +29,10 @@ Pipeline (all Dataset-native, size-routed like embedding_neardup):
    with the integer length filter (5*min_n >= 4*max_n for t = 0.8 — a
    Jaccard >= t pair cannot differ in size by more than t) applied
    BEFORE anything leaves the bucket;
-4. pair-keyed dedup, then exact verification — broadcast set lookup
-   below the bound, two hash joins above it (the candidate set is
-   similarity-bounded, not corpus-quadratic).
+4. pair-keyed dedup, then exact verification through two hash joins
+   that attach each side's shingle string (the candidate set is
+   similarity-bounded, not corpus-quadratic; no per-doc table is ever
+   collected on the driver).
 
 Arithmetic is integer until the single final IEEE division
 (|intersection| / |union|), so the DuckDB brute-force oracle matches
@@ -103,13 +104,13 @@ def token_sets(ds):
     return ds.map_batches(to_sets, batch_format="pyarrow")
 
 
-BROADCAST_MAX = 200_000  # rows; above this the exchange paths engage
+BROADCAST_MAX = 200_000  # distinct shingles; above this the df exchange path engages
 
 
 def setsim_join(ds, num_partitions: int = 8, broadcast_max: int = BROADCAST_MAX):
     """Exact Jaccard >= 4/5 pairs over (doc_id, text) rows.  Pass
-    ``broadcast_max=0`` to force the exchange paths (pytest pins both
-    routes equal)."""
+    ``broadcast_max=0`` to force the df exchange path (pytest pins both
+    df routes equal)."""
     import pandas as pd
     import polars as pl
     import ray
@@ -246,53 +247,6 @@ def setsim_join(ds, num_partitions: int = 8, broadcast_max: int = BROADCAST_MAX)
         .groupby(["doc_a", "doc_b"])
         .map_groups(dedup, batch_format="pandas")
     )
-
-    n_docs = sets.count()
-    if n_docs <= broadcast_max:
-        # broadcast verification: the wstr table ships once; candidate
-        # pairs verify inside their own blocks, zero further exchange
-        import ray as _ray
-
-        wmap = {
-            r["doc_id"]: r["wstr"]
-            for r in sets.select_columns(["doc_id", "wstr"]).take_all()
-        }
-        w_ref = _ray.put(wmap)
-
-        class VerifyBroadcast:
-            def __init__(self, ref):
-                import ray as _r
-
-                self.w = _r.get(ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                oa, ob, oj = [], [], []
-                for a, b in zip(
-                    t.column("doc_a").to_pylist(), t.column("doc_b").to_pylist()
-                ):
-                    sa = set(self.w[a].split("\x1f"))
-                    sb = set(self.w[b].split("\x1f"))
-                    inter = len(sa & sb)
-                    union = len(sa | sb)
-                    if union and THRESHOLD_DEN * inter >= THRESHOLD_NUM * union:
-                        oa.append(a)
-                        ob.append(b)
-                        oj.append(inter / union)
-                return pa.table(
-                    {
-                        "doc_a": pa.array(oa, pa.int64()),
-                        "doc_b": pa.array(ob, pa.int64()),
-                        "jaccard": pa.array(oj, pa.float64()),
-                    }
-                ).cast(PAIR_SCHEMA)
-
-        verified = candidates.map_batches(
-            VerifyBroadcast,
-            fn_constructor_args=(w_ref,),
-            concurrency=(1, 4),
-            batch_format="pyarrow",
-        )
-        return candidates, verified
 
     with_a = hash_join(
         candidates,

@@ -28,6 +28,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 DEFAULT_K = 512
 
 SKETCH_SCHEMA = pa.schema(
@@ -336,23 +338,17 @@ def hll_distinct_tokens(ds, text: str = "text", nparts: int = 8):
             {
                 "register": pa.array(nz, type=pa.int64()),
                 "rho": pa.array(regs[nz], type=pa.int64()),
-                "part": pa.array(nz % nparts, type=pa.int64()),
             }
         )
 
-    def merge_part(g) -> "object":
-        import pandas as pd
-
-        return (
-            g.groupby("register", sort=False, as_index=False)["rho"].max()
+    def merge_part(g: pa.Table) -> pa.Table:
+        return g.group_by("register").aggregate([("rho", "max")]).rename_columns(
+            ["register", "rho"]
         )
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge_part, batch_format="pandas")
-        .take_all()
-    )  # bounded: <= HLL_M register rows by construction
+    rows = hash_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"), ["register"], merge_part, nparts
+    ).take_all()  # bounded: <= HLL_M register rows by construction
     regs = np.zeros(HLL_M, dtype=np.uint8)
     for r in rows:
         regs[int(r["register"])] = int(r["rho"])
@@ -467,19 +463,17 @@ def cms_sketch_tokens(ds, text: str = "text", nparts: int = 8) -> np.ndarray:
             {
                 "cell": pa.array(cell, type=pa.int64()),
                 "cnt": pa.array(local[d_idx, col_idx], type=pa.int64()),
-                "part": pa.array(cell % nparts, type=pa.int64()),
             }
         )
 
-    def merge_part(g) -> "object":
-        return g.groupby("cell", sort=False, as_index=False)["cnt"].sum()
+    def merge_part(g: pa.Table) -> pa.Table:
+        return g.group_by("cell").aggregate([("cnt", "sum")]).rename_columns(
+            ["cell", "cnt"]
+        )
 
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge_part, batch_format="pandas")
-        .take_all()
-    )  # bounded: <= CMS_D*CMS_W cell rows by construction
+    rows = hash_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"), ["cell"], merge_part, nparts
+    ).take_all()  # bounded: <= CMS_D*CMS_W cell rows by construction
     regs = np.zeros((CMS_D, CMS_W), dtype=np.int64)
     for r in rows:
         cell = int(r["cell"])
@@ -573,7 +567,6 @@ def hll_group_distinct_tokens(ds, key: str = "source", text: str = "text",
 
     def partial(t: pa.Table) -> pa.Table:
         import hashlib
-        import zlib
 
         import polars as pl
 
@@ -601,22 +594,16 @@ def hll_group_distinct_tokens(ds, key: str = "source", text: str = "text",
                 key: pa.array([k_ for k_, _ in keys], type=pa.string()),
                 "register": pa.array([i for _, i in keys], type=pa.int64()),
                 "rho": pa.array([regs[kk] for kk in keys], type=pa.int64()),
-                "part": pa.array(
-                    [zlib.crc32(k_.encode()) % nparts for k_, _ in keys],
-                    type=pa.int64(),
-                ),
             }
         )
 
-    def merge_part(g) -> "object":
-        return (
-            g.groupby([key, "register"], sort=False, as_index=False)["rho"].max()
+    def merge_part(g: pa.Table) -> pa.Table:
+        return g.group_by([key, "register"]).aggregate([("rho", "max")]).rename_columns(
+            [key, "register", "rho"]
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge_part, batch_format="pandas")
+    return hash_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"), [key], merge_part, nparts
     )
 
 
@@ -688,7 +675,7 @@ def q_hll_group_distinct(sf_dir: str):
 # endpoint", "length distribution per source") as one streaming pass +
 # one group-keyed exchange of CENTROID rows.  Per batch each group
 # compresses to <= k (value, weight) centroids before anything leaves
-# the block, the crc32(key) exchange lands every group's centroids
+# the block, the hash(key) exchange lands every group's centroids
 # whole in one partition, and final quantiles are read off inside that
 # partition — per-group state is bounded by k rows regardless of group
 # size, and the driver only ever sees (key, q, value) result rows.
@@ -706,7 +693,6 @@ def group_quantile_sketch(
 
     def partial(t: pa.Table) -> pa.Table:
         import polars as pl
-        import zlib
 
         df = pl.from_arrow(t.select([key, column]))
         keys_out, vals_out, wts_out = [], [], []
@@ -723,25 +709,21 @@ def group_quantile_sketch(
                     key: pa.array([], type=t.schema.field(key).type),
                     "value": pa.array([], type=pa.float64()),
                     "weight": pa.array([], type=pa.float64()),
-                    "part": pa.array([], type=pa.int64()),
                 }
             )
-        keys_arr = pa.array(keys_out)
-        parts = [zlib.crc32(str(x).encode()) % nparts for x in keys_out]
         return pa.table(
             {
-                key: keys_arr,
+                key: pa.array(keys_out),
                 "value": pa.array(np.concatenate(vals_out), type=pa.float64()),
                 "weight": pa.array(np.concatenate(wts_out), type=pa.float64()),
-                "part": pa.array(parts, type=pa.int64()),
             }
         )
 
-    def finalize_part(g) -> "object":
+    def finalize_part(t: pa.Table) -> "object":
         import pandas as pd
 
         out = []
-        for k_, grp in g.groupby(key, sort=True):
+        for k_, grp in t.to_pandas().groupby(key, sort=True):
             v, w = compress(
                 grp["value"].to_numpy(), grp["weight"].to_numpy(), k=k
             )
@@ -750,10 +732,8 @@ def group_quantile_sketch(
                 out.append((k_, float(q), float(val)))
         return pd.DataFrame(out, columns=[key, "q", "value"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(finalize_part, batch_format="pandas")
+    return hash_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"), [key], finalize_part, nparts
     )
 
 

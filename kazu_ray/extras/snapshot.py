@@ -27,6 +27,8 @@ import hashlib
 
 import pyarrow as pa
 
+from ..exchange import hash_reduce
+
 DIFF_SCHEMA = pa.schema(
     [
         ("doc_id", pa.int64()),
@@ -37,7 +39,7 @@ DIFF_SCHEMA = pa.schema(
 )
 
 
-def _fp_side(side: str, key: str, content: str, nparts: int):
+def _fp_side(side: str, key: str, content: str):
     def fp(batch: pa.Table) -> pa.Table:
         import polars as pl
 
@@ -51,15 +53,10 @@ def _fp_side(side: str, key: str, content: str, nparts: int):
                 "fp": fps,
                 "side": [side] * len(fps),
             }
-        ).with_columns(part=(pl.col("doc_id").hash(seed=5) % nparts).cast(pl.Int64))
+        )
         return out.to_arrow().cast(
             pa.schema(
-                [
-                    ("doc_id", pa.int64()),
-                    ("fp", pa.string()),
-                    ("side", pa.string()),
-                    ("part", pa.int64()),
-                ]
+                [("doc_id", pa.int64()), ("fp", pa.string()), ("side", pa.string())]
             )
         )
 
@@ -67,7 +64,7 @@ def _fp_side(side: str, key: str, content: str, nparts: int):
 
 
 def _classify(group: pa.Table) -> pa.Table:
-    """Within one coarse key partition: pivot the (≤2) sides of each key
+    """Within one doc_id partition: pivot the (≤2) sides of each key
     and classify.  The partition holds every row of each of its keys."""
     import polars as pl
 
@@ -104,13 +101,9 @@ def snapshot_diff(
 
     nparts = num_partitions or shuffle_partitions()
     tagged = old_ds.map_batches(
-        _fp_side("old", key, content, nparts), batch_format="pyarrow"
-    ).union(
-        new_ds.map_batches(
-            _fp_side("new", key, content, nparts), batch_format="pyarrow"
-        )
-    )
-    return tagged.groupby("part").map_groups(_classify, batch_format="pyarrow")
+        _fp_side("old", key, content), batch_format="pyarrow"
+    ).union(new_ds.map_batches(_fp_side("new", key, content), batch_format="pyarrow"))
+    return hash_reduce(tagged, ["doc_id"], _classify, nparts)
 
 
 def changed_keys(diff_ds):

@@ -13,6 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..context import input_bytes, shuffle_partitions
+from ..exchange import hash_reduce
 
 _WORD = re.compile(r"[A-Za-z0-9]+")
 STOPWORDS = ("the", "and", "of", "a", "to", "in", "is")
@@ -275,7 +276,6 @@ def tfidf_keywords(docs_ds, k: int = TFIDF_TOP_K, num_partitions: int | None = N
     engines; ln() is the host libm in polars/numpy and DuckDB alike.
     Reported scores round half-away (functions/rounding.py) to match
     SQL ROUND."""
-    import numpy as np
     import polars as pl
 
     from ..context import shuffle_partitions as _sp
@@ -294,32 +294,27 @@ def tfidf_keywords(docs_ds, k: int = TFIDF_TOP_K, num_partitions: int | None = N
             .rename({"ws": "term"})
             .group_by("doc_id", "term")
             .agg(tf=pl.len().cast(pl.Int64))
-            .with_columns(part=(pl.col("term").hash(seed=11) % nparts).cast(pl.Int64))
         )
         return out.to_arrow().cast(
             pa.schema(
-                [("doc_id", pa.int64()), ("term", pa.string()),
-                 ("tf", pa.int64()), ("part", pa.int64())]
+                [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64())]
             )
         )
 
-    def score_part(group) -> "object":
-        df = pl.from_pandas(group[["doc_id", "term", "tf"]])
-        out = (
-            df.with_columns(df_=pl.len().over("term").cast(pl.Float64))
+    def score_part(group: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(group.select(["doc_id", "term", "tf"]))
+            .with_columns(df_=pl.len().over("term").cast(pl.Float64))
             .with_columns(
                 score=pl.col("tf").cast(pl.Float64)
                 * (float(n_docs) / pl.col("df_")).log()
             )
             .select("doc_id", "term", "tf", "score")
-            .with_columns(
-                dpart=(pl.col("doc_id").hash(seed=17) % nparts).cast(pl.Int64)
-            )
+            .to_arrow()
         )
-        return out.to_pandas()
 
-    def topk_part(group) -> "object":
-        df = pl.from_pandas(group[["doc_id", "term", "tf", "score"]])
+    def topk_part(group: pa.Table) -> "object":
+        df = pl.from_arrow(group.select(["doc_id", "term", "tf", "score"]))
         out = (
             df.sort(
                 ["doc_id", "score", "term"], descending=[False, True, False]
@@ -333,13 +328,10 @@ def tfidf_keywords(docs_ds, k: int = TFIDF_TOP_K, num_partitions: int | None = N
         pdf["score"] = [round_half_away(s, 6) for s in pdf["score"]]
         return pdf[["doc_id", "term", "tf", "score", "rank"]]
 
-    return (
-        docs_ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(score_part, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(topk_part, batch_format="pandas")
+    scored = hash_reduce(
+        docs_ds.map_batches(tf_rows, batch_format="pyarrow"), ["term"], score_part, nparts
     )
+    return hash_reduce(scored, ["doc_id"], topk_part, nparts)
 
 
 def q_tfidf_keywords(sf_dir: str, k: int = TFIDF_TOP_K):

@@ -5,8 +5,8 @@ factors over the cluster the same way: unigram training never needs the
 corpus, only the WORD-FREQUENCY table.
 
 1. FIT (distributed, exact) — reuses ``extras.bpe.word_counts``: one
-   tokenize pass of per-batch (word, n) combiner partials, a coarse
-   crc32(word) exchange, and a hard ``top_v`` driver bound applied
+   tokenize pass of per-batch (word, n) combiner partials, the
+   hash(word) exchange, and a hard ``top_v`` driver bound applied
    inside each hash partition (driver state bounded by construction).
 2. SEED + EM (driver, bounded) — seed vocabulary from the most frequent
    substrings of the bounded word table, then Viterbi-EM: E-step

@@ -23,7 +23,7 @@ stage (regex/string kernels, no Python per row).  The per-domain cap
 uses the keep-first-K combiner: keeping the K smallest doc_ids per
 domain is a selection where the global answer is contained in the
 union of per-block answers, so each block reduces to at most
-|domains in block| x K rows BEFORE the single crc32(domain) exchange —
+|domains in block| x K rows BEFORE the single groupby(domain) exchange —
 a hot domain ships K rows per block, never its full row set, which
 bounds skew by construction.
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import pandas as pd
 
+from ..exchange import hash_reduce
+
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 minutes
 
 
@@ -165,7 +167,6 @@ def q_asof_join(sf_dir: str):
     degenerate to millions of tiny tasks; users hash into ~P coarse
     partitions and each partition runs ONE ``pd.merge_asof(by=user_id)``
     (vectorized grouped as-of merge) over its users."""
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
@@ -177,14 +178,8 @@ def q_asof_join(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type", "event_id"]
     )
 
-    def key(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        h = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return t.append_column(
-            "part", pa.array((h % np.uint64(nparts)).astype(np.int64))
-        )
-
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
+    def asof(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         purchases = g[g["event_type"] == "purchase"].sort_values("ts")
         views = g[g["event_type"] == "view"].sort_values("ts")
         if purchases.empty:
@@ -210,12 +205,7 @@ def q_asof_join(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(key, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(asof, batch_format="pandas")
-        .sort(["user_id", "purchase_id"])
-    )
+    return hash_reduce(ds, ["user_id"], asof, nparts).sort(["user_id", "purchase_id"])
 
 
 def q_range_join(sf_dir: str, window_s: int = 60):
@@ -250,9 +240,8 @@ def q_range_join(sf_dir: str, window_s: int = 60):
     )
 
     # one Ray group per time bucket would mean a per-120-seconds task —
-    # pathological at long time ranges.  Coarsen: ~nparts exchange
-    # groups keyed by hash(bucket), each processing its buckets
-    # vectorized (the same coarse-partition pattern as passages/minhash)
+    # pathological at long time ranges: the hash(bucket) exchange hands
+    # each reducer many buckets, processed vectorized
     from ..context import shuffle_partitions
 
     nparts = shuffle_partitions()
@@ -275,22 +264,18 @@ def q_range_join(sf_dir: str, window_s: int = 60):
             out_role.extend([0] * len(b))
             out_eid.extend(eid.tolist())
             out_ts.extend(ts.tolist())
-        bucket_arr = np.asarray(out_bucket, dtype=np.int64)
-        h = (bucket_arr.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        part = (h % np.uint64(nparts)).astype(np.int64)
         return pa.Table.from_pydict(
             {
-                "part": pa.array(part, type=pa.int64()),
-                "bucket": pa.array(bucket_arr, type=pa.int64()),
+                "bucket": pa.array(out_bucket, type=pa.int64()),
                 "role": pa.array(out_role, type=pa.int8()),
                 "event_id": pa.array(out_eid, type=pa.int64()),
                 "ts_us": pa.array(out_ts, type=pa.int64()),
             }
         )
 
-    def count_in_partition(g: pd.DataFrame) -> pd.DataFrame:
+    def count_in_partition(t: pa.Table) -> pd.DataFrame:
         out_eid, out_n = [], []
-        for _, sub in g.groupby("bucket", sort=False):
+        for _, sub in t.to_pandas().groupby("bucket", sort=False):
             probes = sub[sub["role"] == 1]
             if probes.empty:
                 continue
@@ -315,12 +300,9 @@ def q_range_join(sf_dir: str, window_s: int = 60):
             }
         )
 
-    return (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_in_partition, batch_format="pandas")
-        .sort("event_id")
-    )
+    return hash_reduce(
+        ds.map_batches(emit, batch_format="pyarrow"), ["bucket"], count_in_partition, nparts
+    ).sort("event_id")
 
 
 def q_events_sliding(sf_dir: str, window_hours: int = 3):

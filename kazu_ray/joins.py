@@ -1,4 +1,4 @@
-"""Partition-wise hash join built on groupby().map_groups.
+"""Partition-wise hash join built on the exchange primitive.
 
 Ray 2.49's native ``Dataset.join`` mis-handles the case where the first
 shuffled block of an input is empty: the schema broadcast to join
@@ -9,14 +9,14 @@ ray/data/_internal/execution/operators/hash_shuffle.py:223 +
 join.py:118).  Iterative algorithms (label propagation) routinely
 produce small/empty blocks, so we need a join that cannot hit that path.
 
-This helper hash-partitions both sides by the join key into
-``num_partitions`` buckets, tags rows with a side marker, unions them
-(schemas unified with typed nulls) and runs ONE groupby(bucket) —
-map_groups then performs a vectorized ``pyarrow.Table.join`` inside each
-bucket.  Empty buckets simply never appear as groups, so the failure
-mode is structurally impossible.  Scale profile matches a hash shuffle
-join: one all-to-all exchange, each bucket materialized on one worker —
-size ``num_partitions`` so max(bucket) fits within worker heap.
+This helper tags rows of both sides with a side marker and their join
+key in one shared column, unions them (schemas unified with typed
+nulls) and runs ONE ``exchange.hash_reduce`` on that key — a vectorized
+``pyarrow.Table.join`` inside each of ``num_partitions`` partitions.
+Empty partitions simply never reach the reducer, so the failure mode is
+structurally impossible.  Scale profile matches a hash shuffle join:
+one all-to-all exchange, each partition materialized on one worker —
+size ``num_partitions`` so max(partition) fits within worker heap.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_MULT = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing multiplier
-
-
-def _bucket_of(key_col: pa.ChunkedArray, num_partitions: int) -> pa.Array:
-    k = key_col.combine_chunks().to_numpy(zero_copy_only=False).astype(np.uint64)
-    h = (k * _MULT) >> np.uint64(33)
-    return pa.array((h % np.uint64(num_partitions)).astype(np.int64))
-
+from .exchange import hash_reduce
 
 _ARROW_JOIN_TYPE = {
     "inner": "inner",
@@ -42,7 +35,7 @@ _ARROW_JOIN_TYPE = {
     "left_anti": "left anti",
 }
 
-_RKEY = "__rkey"
+_KEY = "__key"
 
 
 def hash_join(
@@ -79,21 +72,18 @@ def hash_join(
     r_types = dict(zip(r_schema.names, r_schema.types))
 
     carrier = (
-        [("__side", pa.int8()), ("__bucket", pa.int64()), (_RKEY, r_types[right_on])]
+        [("__side", pa.int8()), (_KEY, r_types[right_on])]
         + [(c, l_types[c]) for c in l_names]
         + [(c, r_types[c]) for c in r_only]
     )
     carrier_types = dict(carrier)
-    data_cols = [n for n, _ in carrier[3:]]
+    data_cols = [n for n, _ in carrier[2:]]
 
     def _tag_left(t: pa.Table) -> pa.Table:
         n = t.num_rows
         cols = {
             "__side": pa.array(np.zeros(n, dtype=np.int8)),
-            "__bucket": _bucket_of(t.column(left_on), num_partitions)
-            if n
-            else pa.array([], pa.int64()),
-            _RKEY: pa.nulls(n, carrier_types[_RKEY]),
+            _KEY: t.column(left_on).cast(carrier_types[_KEY]),
         }
         for c in data_cols:
             cols[c] = t.column(c) if c in l_names else pa.nulls(n, carrier_types[c])
@@ -103,10 +93,7 @@ def hash_join(
         n = t.num_rows
         cols = {
             "__side": pa.array(np.ones(n, dtype=np.int8)),
-            "__bucket": _bucket_of(t.column(right_on), num_partitions)
-            if n
-            else pa.array([], pa.int64()),
-            _RKEY: t.column(right_on),
+            _KEY: t.column(right_on),
         }
         for c in data_cols:
             cols[c] = t.column(c) if c in r_only else pa.nulls(n, carrier_types[c])
@@ -118,13 +105,11 @@ def hash_join(
     def _join_bucket(t: pa.Table) -> pa.Table:
         side = t.column("__side")
         lt = t.filter(pc.equal(side, 0)).select(l_names)
-        rt = t.filter(pc.equal(side, 1)).select([_RKEY] + r_only)
-        joined = lt.join(rt, keys=[left_on], right_keys=[_RKEY], join_type=arrow_how)
+        rt = t.filter(pc.equal(side, 1)).select([_KEY] + r_only)
+        joined = lt.join(rt, keys=[left_on], right_keys=[_KEY], join_type=arrow_how)
         return joined.select([c for c in out_cols if c in joined.column_names])
 
     tagged = left.map_batches(_tag_left, batch_format="pyarrow").union(
         right.map_batches(_tag_right, batch_format="pyarrow")
     )
-    return tagged.groupby("__bucket", num_partitions=num_partitions).map_groups(
-        _join_bucket, batch_format="pyarrow"
-    )
+    return hash_reduce(tagged, [_KEY], _join_bucket, num_partitions)

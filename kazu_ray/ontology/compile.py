@@ -7,7 +7,7 @@ as a Ray Data job:
 
     from_pandas(long-thin synonym frame)
       -> map_batches(term_norm + is_symbolic)          # vectorizable scalar fns
-      -> groupby(parser_name, term_norm).map_groups    # THE compile shuffle
+      -> hash_reduce(parser_name, term_norm)            # THE compile shuffle
       -> score_and_group_ids per group                 # EquivalentIdSet clustering
       -> write synonyms.parquet / metadata.parquet / curations.parquet
 
@@ -35,6 +35,7 @@ from ..constants import (
     HIGHLY_LIKELY,
     PROBABLE,
 )
+from ..exchange import hash_reduce
 from ..functions.normalize import classify_symbolic, normalize
 from ..state.embedder import default_embedder
 from .synth import find_kb, metadata_frame, synonym_frame
@@ -152,8 +153,6 @@ def group_ids_by_label(
 
 def _add_norm_columns(df: pd.DataFrame) -> pd.DataFrame:
     # scalar python fns over strings; lru-cached per worker
-    import zlib
-
     df = df.copy()
     df["term_norm"] = [
         normalize(s, ec) for s, ec in zip(df["syn"], df["entity_class"])
@@ -161,17 +160,11 @@ def _add_norm_columns(df: pd.DataFrame) -> pd.DataFrame:
     df["syn_symbolic"] = [
         classify_symbolic(s, ec) for s, ec in zip(df["syn"], df["entity_class"])
     ]
-    # coarse shuffle key: all rows of one (parser, term_norm) group land in
-    # the same partition, many groups per partition
-    df["group_part"] = [
-        zlib.crc32(f"{p}\x00{t}".encode()) % 64
-        for p, t in zip(df["parser_name"], df["term_norm"])
-    ]
     return df
 
 
 class _ResolveGroups:
-    """map_groups UDF over a COARSE partition (hash(term_norm) bucket):
+    """Reducer over one hash(parser_name, term_norm) exchange partition:
     resolves every (parser_name, term_norm) group inside the partition in
     one call, amortizing per-group task overhead — the same
     coarse-key-then-vectorize pattern as the LSH bucketing.  Each real
@@ -342,14 +335,15 @@ def compile_dictionaries(
 
     labels_ref = _ray.put((labels_by_idx, grouping))
 
-    def _resolve_part(part: pd.DataFrame) -> pa.Table:
+    def _resolve_part(part: pa.Table) -> pa.Table:
         labels, grp = _ray.get(labels_ref)
-        return _ResolveGroups(labels, grp)(part)
+        return _ResolveGroups(labels, grp)(part.to_pandas())
 
-    compiled = (
-        ds.map_batches(_add_norm_columns, batch_format="pandas")
-        .groupby("group_part")
-        .map_groups(_resolve_part, batch_format="pandas")
+    # all rows of one (parser, term_norm) group land in one of 64
+    # partitions, many groups per partition
+    compiled = hash_reduce(
+        ds.map_batches(_add_norm_columns, batch_format="pandas"),
+        ["parser_name", "term_norm"], _resolve_part, 64,
     )
     batches = [
         b.cast(SYNONYMS_SCHEMA)

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import hash_reduce
 from .functions.rounding import pc_round_sql
 
 
@@ -328,7 +329,6 @@ def q_customer_running_total(sf_dir: str):
     One Ray group per customer is pathological (per-tiny-group task
     overhead); customers hash into ~P coarse partitions and the cumsum
     runs as ONE vectorized pandas groupby-cumsum per partition."""
-    import numpy as np
     import pandas as pd
 
     from .context import shuffle_partitions
@@ -339,15 +339,8 @@ def q_customer_running_total(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"]
     )
 
-    def key(t: pa.Table) -> pa.Table:
-        ck = t.column("o_custkey").to_numpy(zero_copy_only=False)
-        h = (ck.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return t.append_column(
-            "part", pa.array((h % np.uint64(nparts)).astype(np.int64))
-        )
-
-    def running(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
+    def running(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
         out = pd.DataFrame(
             {
                 "o_custkey": g["o_custkey"].astype("int64"),
@@ -362,11 +355,8 @@ def q_customer_running_total(sf_dir: str):
         out["running_total"] = round_half_away(out["running_total"].to_numpy(), 2)
         return out
 
-    return (
-        ds.map_batches(key, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(running, batch_format="pandas")
-        .sort(["o_custkey", "o_orderkey"])
+    return hash_reduce(ds, ["o_custkey"], running, nparts).sort(
+        ["o_custkey", "o_orderkey"]
     )
 
 

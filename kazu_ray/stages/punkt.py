@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 
+from ..exchange import hash_reduce
 from .sentences import SENT_STRUCT
 
 # ---------------------------------------------------------------------------
@@ -220,11 +221,10 @@ class PunktParameters:
 # pass 1: distributed type counts -> abbreviation types
 
 
-def _count_types_batch(batch: pa.Table, nparts: int,
-                       text_column: str) -> pa.Table:
+def _count_types_batch(batch: pa.Table, text_column: str) -> pa.Table:
     """Per-batch combiner: (bare, dotted, n) partials plus marker rows
-    carrying this batch's total / period-final token counts.  Hashing
-    happens on the BARE form so dotted and bare twins co-locate."""
+    carrying this batch's total / period-final token counts.  The
+    exchange keys on the BARE form so dotted and bare twins co-locate."""
     import polars as pl
 
     from_counts: dict[tuple[str, bool], int] = {}
@@ -247,7 +247,6 @@ def _count_types_batch(batch: pa.Table, nparts: int,
     dotted += [False, True]
     ns += [n_tok, n_period]
     df = pl.DataFrame({"bare": bares, "dotted": dotted, "n": ns}).with_columns(
-        part=(pl.col("bare").hash(seed=17) % nparts).cast(pl.Int64),
         n=pl.col("n").cast(pl.Int64),
     )
     return df.to_arrow().cast(
@@ -256,7 +255,6 @@ def _count_types_batch(batch: pa.Table, nparts: int,
                 ("bare", pa.string()),
                 ("dotted", pa.bool_()),
                 ("n", pa.int64()),
-                ("part", pa.int64()),
             ]
         )
     )
@@ -270,7 +268,7 @@ def _candidates_in_part(group, max_candidates: int):
     import polars as pl
 
     df = (
-        pl.from_pandas(group[["bare", "dotted", "n"]])
+        pl.from_arrow(group.select(["bare", "dotted", "n"]))
         .group_by(["bare", "dotted"])
         .agg(c=pl.col("n").sum().cast(pl.Int64))
     )
@@ -306,18 +304,15 @@ def train_punkt(docs_ds, text_column: str = "text",
 
     nparts = num_partitions or _sp()
 
-    counts = (
+    counts = hash_reduce(
         docs_ds.map_batches(
             _count_types_batch,
-            fn_kwargs={"nparts": nparts, "text_column": text_column},
+            fn_kwargs={"text_column": text_column},
             batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(
-            _candidates_in_part,
-            fn_kwargs={"max_candidates": max_candidates},
-            batch_format="pandas",
-        )
+        ),
+        ["bare"],
+        lambda g: _candidates_in_part(g, max_candidates),
+        nparts,
     )
     # bounded driver merge: <= partitions x (cap + 2) rows by construction
     rows = counts.take_all()
@@ -337,22 +332,15 @@ def train_punkt(docs_ds, text_column: str = "text",
     # ---- pass 2: ortho context / sentence starters / collocations
     params_ref = ray.put(base)
 
-    ctx = (
+    ctx = hash_reduce(
         docs_ds.map_batches(
             _context_batch,
-            fn_kwargs={
-                "params_ref": params_ref,
-                "nparts": nparts,
-                "text_column": text_column,
-            },
+            fn_kwargs={"params_ref": params_ref, "text_column": text_column},
             batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(
-            _context_in_part,
-            fn_kwargs={"max_types": max_types},
-            batch_format="pandas",
-        )
+        ),
+        ["a"],
+        lambda g: _context_in_part(g, max_types),
+        nparts,
     )
     crows = ctx.take_all()
     n_breaks = 0
@@ -417,8 +405,7 @@ def _first_pass(tok: _Tok, abbrevs: frozenset[str]) -> int:
     return _NONE
 
 
-def _context_batch(batch: pa.Table, params_ref, nparts: int,
-                   text_column: str) -> pa.Table:
+def _context_batch(batch: pa.Table, params_ref, text_column: str) -> pa.Table:
     """Per-batch partials for pass 2: per-type ortho flags + total and
     after-break counts, candidate-adjacent pair counts, and a
     definite-break marker."""
@@ -482,7 +469,6 @@ def _context_batch(batch: pa.Table, params_ref, nparts: int,
     df = pl.DataFrame(
         {"a": a, "b": b, "kind": kind, "flags": flags, "n": n, "n_break": n_break}
     ).with_columns(
-        part=(pl.col("a").hash(seed=23) % nparts).cast(pl.Int64),
         flags=pl.col("flags").cast(pl.Int64),
         n=pl.col("n").cast(pl.Int64),
         n_break=pl.col("n_break").cast(pl.Int64),
@@ -496,7 +482,6 @@ def _context_batch(batch: pa.Table, params_ref, nparts: int,
                 ("flags", pa.int64()),
                 ("n", pa.int64()),
                 ("n_break", pa.int64()),
-                ("part", pa.int64()),
             ]
         )
     )
@@ -509,7 +494,7 @@ def _context_in_part(group, max_types: int):
     markers are one row per upstream block)."""
     import polars as pl
 
-    df = pl.from_pandas(group[["a", "b", "kind", "flags", "n", "n_break"]])
+    df = pl.from_arrow(group.select(["a", "b", "kind", "flags", "n", "n_break"]))
     types = (
         df.filter(pl.col("kind") == "type")
         .group_by("a")

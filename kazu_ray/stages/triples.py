@@ -16,6 +16,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..constants import PRED_CO_OCCURS, PRED_MAPS_TO, PRED_MENTIONS
+from ..exchange import hash_reduce
 from ..schemas import EDGES_SCHEMA, TRIPLES_SCHEMA
 
 
@@ -89,21 +90,6 @@ _EDGE_MERGE_PARTS = 24  # ontology-bounded key space: a few coarse buckets
 _NODE_PARTS = 8
 
 
-def _hash_part(t: pa.Table, keys: list[str], n_parts: int) -> pa.Table:
-    """Append a stable coarse ``part`` column: hash of the key columns
-    (seed 7) mod ``n_parts``."""
-    import polars as pl
-
-    if t.num_rows == 0:
-        return t.append_column("part", pa.array([], pa.int64()))
-    h = (
-        pl.from_arrow(t.select(keys))
-        .select(part=pl.concat_str(keys, separator="\x1f").hash(seed=7) % n_parts)["part"]
-        .cast(pl.Int64)
-    )
-    return t.append_column("part", h.to_arrow())
-
-
 def _merge_edge_partials(group: pa.Table) -> pa.Table:
     """Within one coarse partition: merge partial rows exactly
     (sum n_docs, max confidence) with pyarrow's C++ hash aggregation."""
@@ -148,15 +134,10 @@ def canonicalize_edges(partial_ds):
         lambda t: t.filter(pc.not_equal(t["pred"], "mentions")), batch_format="pyarrow"
     )
     # ontology-bounded key space, but the partial-row volume is
-    # blocks x keys: merge via coarse hash(subj,pred,obj) partitions +
-    # one C++ hash-aggregation per partition.  (Ray's sort-based
-    # Aggregate on the three string keys measured 8-13s here at sf0.1;
-    # the int-keyed exchange + pyarrow group_by is ~6x faster — the
-    # same coarse-key pattern as relational.py / windows.py.)
-    others_agg = others.map_batches(
-        _hash_part, fn_args=(["subj", "pred", "obj"], _EDGE_MERGE_PARTS),
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(_merge_edge_partials, batch_format="pyarrow")
+    # blocks x keys: one C++ hash-aggregation per exchange partition
+    others_agg = hash_reduce(
+        others, ["subj", "pred", "obj"], _merge_edge_partials, _EDGE_MERGE_PARTS
+    )
 
     def _to_edge_schema(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -212,20 +193,14 @@ def nodes_from_edges(edges_ds, metadata_path: str):
             }
         )
 
-    # distributed: per-batch unique -> coarse hash(curie) partitions ->
-    # per-partition C++ unique -> enrich with the broadcast metadata
-    # table (round 1 collected every CURIE onto the driver and looped in
-    # python; rounds 1-3 used Ray's sort-based groupby-count for the
-    # cross-block dedup — the int-keyed exchange is faster, same
-    # reasoning as canonicalize_edges)
+    # distributed: per-batch unique -> hash(curie) exchange with a
+    # per-partition C++ unique -> enrich with the broadcast metadata table
     def _node_dedup(group: pa.Table) -> pa.Table:
         return pa.table({"curie": pc.unique(group.column("curie"))})
 
+    curies = edges_ds.map_batches(curie_batch, batch_format="pyarrow")
     return (
-        edges_ds.map_batches(curie_batch, batch_format="pyarrow")
-        .map_batches(_hash_part, fn_args=(["curie"], _NODE_PARTS), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_node_dedup, batch_format="pyarrow")
+        hash_reduce(curies, ["curie"], _node_dedup, _NODE_PARTS)
         .map_batches(enrich, batch_format="pyarrow")
         .sort("curie")
     )

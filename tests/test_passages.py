@@ -34,11 +34,13 @@ CORPUS = [
 
 
 def test_doc_grams_distinct_and_windowed():
-    out = _doc_grams_batch(_docs(["a b a b a b"]), k=2, nparts=4).to_pylist()
-    grams = sorted(r["gram"] for r in out)
+    from kazu_ray.exchange import hash_partition
+
+    t = _doc_grams_batch(_docs(["a b a b a b"]), k=2)
+    grams = sorted(t.column("gram").to_pylist())
     # windows: a b, b a, a b, b a, a b → distinct {a b, b a}
     assert grams == ["a b", "b a"]
-    assert all(0 <= r["part"] < 4 for r in out)
+    assert all(0 <= p < 4 for p in hash_partition(t, ["gram"], 4).to_pylist())
 
 
 @pytest.mark.parametrize("nparts", [1, 3, 16])
@@ -87,7 +89,7 @@ def test_decontaminate_fixture(ray_session):
 
     bench = _docs(["the secret answer is forty two exactly"])
     bench_grams = set(
-        _doc_grams_batch(bench, k=5, nparts=1).column("gram").to_pylist()
+        _doc_grams_batch(bench, k=5).column("gram").to_pylist()
     )
     corpus = _docs(
         [
