@@ -10,19 +10,17 @@ Verification" — Deequ's published design).
 
 Check kinds:
 
-* **foreign key** — child key must exist in the parent key set.
-  Routed by the measured parent cardinality: small parents broadcast
-  their distinct sorted key vector (``ray.put`` once, vectorised
-  ``np.searchsorted`` membership per batch, one tiny count partial per
-  block); parents past the cap go through the partitioned
-  ``left_anti`` hash join (kazu_ray/joins.py) — both paths exact, the
-  routing mirrors chunk_dedup's broadcast/co-group verdict apply.
+* **foreign key** — child key must exist in the parent key set: one
+  partitioned ``left_anti`` hash join (kazu_ray/joins.py) per check,
+  exact at every parent size; duplicate parent keys cannot change an
+  anti-join, so no distinct-parents pass runs first.
 * **range / not-null** — one vectorised ``pyarrow.compute`` pass,
   zero shuffle, fixed-size count partials.
 
-Every check ships ONE (n, violations) partial per block; the driver
-folds a partitions-bounded table.  At 100 TB nothing scales with
-violation count or corpus size except the streaming scans.
+Every range / not-null check ships ONE (n, violations) partial per
+block and the driver folds a partitions-bounded table; a foreign-key
+check moves only its two key columns through one exchange and counts
+the anti-join survivors.
 
 Exact SQL oracle: each constraint is one LEFT-JOIN-IS-NULL or
 filter-count subquery, UNION ALL'd — row-for-row including zero
@@ -36,7 +34,6 @@ training-data family (SURVEY.md §2l).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -47,10 +44,6 @@ AUDIT_SCHEMA = pa.schema(
         ("n_violations", pa.int64()),
     ]
 )
-
-# parents with at most this many distinct keys broadcast; above it the
-# partitioned left_anti hash join carries the check
-BROADCAST_MAX_PARENT = 5_000_000
 
 # (name, child_table, child_key, parent_table, parent_key)
 FK_CHECKS = (
@@ -97,65 +90,15 @@ def _fk_violations(
     child_key: str,
     parent_table: str,
     parent_key: str,
-    broadcast_max_parent: int,
 ) -> tuple[int, int]:
-    import ray
+    """(child rows, child rows whose key is absent from the parent):
+    a partitioned ``left_anti`` hash join.  Its explicit schemas also
+    carry an empty parent table, where every child row violates."""
     import ray.data as rd
 
-    parents = (
-        rd.read_parquet(f"{sf_dir}/{parent_table}.parquet", columns=[parent_key])
-        .groupby(parent_key)
-        .count()
-        .select_columns([parent_key])
-        .materialize()
-    )
-    n_parents = parents.count()
-    child = rd.read_parquet(f"{sf_dir}/{child_table}.parquet", columns=[child_key])
-
-    if n_parents == 0:
-        # empty parent snapshot: every child row violates; an empty
-        # dataset also has no schema for the anti-join to consume
-        n_rows = child.count()
-        return n_rows, n_rows
-
-    if n_parents <= broadcast_max_parent:
-        batches = list(
-            parents.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        if batches:
-            keys = np.sort(
-                pa.concat_tables(batches)
-                .column(parent_key)
-                .to_numpy(zero_copy_only=False)
-            )
-        else:  # EMPTY parent table: every child row is a violation
-            keys = np.empty(0, dtype=np.int64)
-        keys_ref = ray.put(keys)
-
-        def partial(t: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)
-            v = t.column(child_key).to_numpy(zero_copy_only=False)
-            if len(ks):
-                idx = np.searchsorted(ks, v)
-                hit = (idx < len(ks)) & (
-                    ks[np.minimum(idx, len(ks) - 1)] == v
-                )
-            else:
-                hit = np.zeros(len(v), dtype=bool)
-            return pa.table(
-                {
-                    "n": pa.array([len(v)], pa.int64()),
-                    "viol": pa.array([int((~hit).sum())], pa.int64()),
-                }
-            )
-
-        partials = child.map_batches(partial, batch_format="pyarrow")
-        return _count_totals(partials)
-
-    # partitioned exact path: left_anti join, count survivors
-    # (hash_join keys are int64 by contract; cast both sides)
     from ..joins import hash_join
 
+    # hash_join keys are int64 by contract; cast both sides
     def to64(col):
         def f(t: pa.Table) -> pa.Table:
             return t.set_column(
@@ -165,20 +108,23 @@ def _fk_violations(
 
         return f
 
-    n_rows = child.count()
+    child = rd.read_parquet(f"{sf_dir}/{child_table}.parquet", columns=[child_key])
+    parents = rd.read_parquet(
+        f"{sf_dir}/{parent_table}.parquet", columns=[parent_key]
+    )
     anti = hash_join(
         child.map_batches(to64(child_key), batch_format="pyarrow"),
         parents.map_batches(to64(parent_key), batch_format="pyarrow"),
         left_on=child_key,
         right_on=parent_key,
         how="left_anti",
+        left_schema=pa.schema([(child_key, pa.int64())]),
+        right_schema=pa.schema([(parent_key, pa.int64())]),
     )
-    return n_rows, anti.count()
+    return child.count(), anti.count()
 
 
-def q_constraint_audit(
-    sf_dir: str, broadcast_max_parent: int = BROADCAST_MAX_PARENT
-):
+def q_constraint_audit(sf_dir: str):
     """Query surface: one exact (constraint_name, n_rows, n_violations)
     row per declared check, sorted.  Exact SQL parity via
     constraint_audit_oracle_sql."""
@@ -187,9 +133,7 @@ def q_constraint_audit(
 
     rows = []
     for name, child_t, child_k, parent_t, parent_k in FK_CHECKS:
-        n, viol = _fk_violations(
-            sf_dir, child_t, child_k, parent_t, parent_k, broadcast_max_parent
-        )
+        n, viol = _fk_violations(sf_dir, child_t, child_k, parent_t, parent_k)
         rows.append((name, n, viol))
 
     for name, table, col, _sql_pred, arrow_pred in RULE_CHECKS:

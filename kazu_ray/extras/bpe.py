@@ -54,7 +54,7 @@ def _word_partials(t: pa.Table, text: str) -> pa.Table:
     cnt = (
         pl.from_arrow(t.select([text]))
         .select(w=pl.col(text).str.to_lowercase().str.extract_all(_WORD_RE))
-        .explode("w")
+        .explode("w", empty_as_null=True)
         .drop_nulls("w")
         .group_by("w")
         .len()

@@ -283,7 +283,6 @@ def _cogroup_reassemble(t: pa.Table):
 def cdc_dedup(
     docs_ds,
     num_partitions: int | None = None,
-    broadcast_max_losers: int = BROADCAST_MAX_LOSERS,
 ):
     """docs (doc_id, text) -> per-doc (doc_id, n_chunks, n_kept,
     kept_frac, kept_digest) under global keep-first CDC dedup."""
@@ -295,7 +294,7 @@ def cdc_dedup(
     losers = hash_reduce(keys, ["h1"], _losers_in_partition, nparts).materialize()
     n_losers = losers.count()
 
-    if n_losers <= broadcast_max_losers:
+    if n_losers <= BROADCAST_MAX_LOSERS:
         if n_losers:
             loser_tbl = pa.concat_tables(
                 losers.iter_batches(batch_format="pyarrow", batch_size=None)

@@ -25,7 +25,7 @@ exchanges, ~2x corpus bytes total):
    the global winner.  ONLY LOSERS leave the partition, as thin
    (doc_id, chunk_no) verdict rows — dup_fraction x n_chunks x 16 B.
 3. verdict application, routed by measured loser count:
-   - **broadcast path** (losers <= broadcast_max_losers, the common
+   - **broadcast path** (losers <= BROADCAST_MAX_LOSERS, the common
      prose-corpus case): ``ray.put`` the loser key table once; scan 2
      re-chunks each document INSIDE ``map_batches`` (documents are
      whole rows, so chunking never leaves the batch), anti-joins the
@@ -87,7 +87,7 @@ def _chunks_pl(batch: pa.Table, k: int):
         .with_columns(ws=pl.col("text").str.extract_all(_WORD_RE))
         .filter(pl.col("ws").list.len() >= 1)
         .select("doc_id", "ws")
-        .explode("ws")
+        .explode("ws", empty_as_null=True)
         .rename({"ws": "word"})
         .with_columns(
             chunk_no=(pl.int_range(pl.len()).over("doc_id") // k).cast(pl.Int64)
@@ -251,7 +251,6 @@ def chunk_dedup(
     docs_ds,
     k: int = DEFAULT_K,
     num_partitions: int | None = None,
-    broadcast_max_losers: int = BROADCAST_MAX_LOSERS,
 ):
     """docs (doc_id, text) -> per-doc (doc_id, n_chunks, n_kept,
     kept_frac, kept_digest) under global keep-first chunk dedup.
@@ -267,7 +266,7 @@ def chunk_dedup(
     losers = hash_reduce(keys, ["h1"], _losers_in_partition, nparts).materialize()
     n_losers = losers.count()
 
-    if n_losers <= broadcast_max_losers:
+    if n_losers <= BROADCAST_MAX_LOSERS:
         if n_losers:
             loser_tbl = pa.concat_tables(
                 losers.iter_batches(batch_format="pyarrow", batch_size=None)

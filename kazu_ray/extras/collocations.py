@@ -53,7 +53,7 @@ def _gram_partials(t: pa.Table, text: str) -> pa.Table:
         pl.from_arrow(t.select([text]))
         .select(ws=pl.col(text).str.to_lowercase().str.extract_all(_WORD_RE))
         .with_row_index("rid")
-        .explode("ws")
+        .explode("ws", empty_as_null=True)
         .drop_nulls("ws")
     )
     uni = df.group_by("ws").len().rename({"ws": "gram", "len": "n"})

@@ -183,7 +183,7 @@ def minhash_signatures_batch(texts: list[str]) -> np.ndarray:
     if long_docs.height:
         ex = long_docs.select(
             "row", "nw", "w", pl.int_ranges(0, pl.col("nw")).alias("pos")
-        ).explode(["w", "pos"])
+        ).explode(["w", "pos"], empty_as_null=True)
         # global shift is safe: cross-doc grams fail pos <= nw-3
         ex = ex.with_columns(
             (pl.col("w") + " " + pl.col("w").shift(-1) + " " + pl.col("w").shift(-2)).alias(
@@ -498,20 +498,22 @@ def simhash_oracle_sql() -> str:
 # ---------------------------------------------------------------------------
 
 
+BROADCAST_LIMIT = 200_000  # embedding rows; above it the IVF cells path runs
+
+
 def q_embedding_neardup(
     sf_dir: str,
     threshold: float = 0.35,
-    broadcast_limit: int = 200_000,
     n_cells: int = 8,
 ):
     """Pairs of embeddings with cosine >= threshold.
 
-    Small-table path (row count <= broadcast_limit, the oracle-checked
+    Small-table path (row count <= BROADCAST_LIMIT, the oracle-checked
     one): normalized matrix broadcast via ray.put; each batch computes
     its block of the similarity matrix (blocked matmul) and emits
     qualifying pairs — O(n^2/B) per task, no shuffle.
 
-    Past ``broadcast_limit`` the whole-matrix broadcast would outgrow
+    Past ``BROADCAST_LIMIT`` the whole-matrix broadcast would outgrow
     the object store, so pairs route through IVF cells instead
     (:func:`_embedding_neardup_cells`): top-2 multi-assignment + within-
     cell pairwise matmul — no global broadcast, one shuffle keyed on
@@ -523,7 +525,7 @@ def q_embedding_neardup(
     import pyarrow.parquet as pq
 
     n_rows = pq.read_metadata(f"{sf_dir}/embeddings.parquet").num_rows
-    if n_rows > broadcast_limit:
+    if n_rows > BROADCAST_LIMIT:
         # cells must scale with the corpus so one cell's pairwise matmul
         # fits a worker: target ~8k vectors/cell including replicas
         replicas = 3

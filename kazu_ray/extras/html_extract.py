@@ -157,7 +157,7 @@ def extract_main_text(batch: pa.Table) -> pa.Table:
         seg_no=pl.int_ranges(pl.col("seg").list.len()),
         seg=pl.col("seg"),
     )
-    segs = segs.explode("seg_no", "seg")
+    segs = segs.explode("seg_no", "seg", empty_as_null=True)
     anchor = pl.col("seg").str.extract_all(_ANCHOR_RE)
     segs = segs.with_columns(
         text=_unescape(pl.col("seg").str.replace_all(_TAG_RE, " "))
@@ -238,7 +238,7 @@ def extract_links(batch: pa.Table) -> pa.Table:
     out = (
         df.with_columns(href=hrefs)
         .select("doc_id", "href")
-        .explode("href")
+        .explode("href", empty_as_null=True)
         .filter(pl.col("href").is_not_null())
         .unique(subset=["doc_id", "href"])
     )
@@ -311,7 +311,7 @@ def extract_anchor_pairs(batch: pa.Table):
     out = (
         df.with_columns(a=pl.col("html").str.extract_all(_ANCHOR_RE))
         .select("doc_id", "a")
-        .explode("a")
+        .explode("a", empty_as_null=True)
         .filter(pl.col("a").is_not_null())
         .with_columns(
             href=pl.col("a").str.extract(r'(?i)href="([^"]*)"', 1),

@@ -50,7 +50,7 @@ def token_counts(docs_ds, sign: int = 1):
             .with_columns(
                 tok=pl.col("text").str.to_lowercase().str.extract_all(_TOKEN_RE)
             )
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls("tok")
             .group_by("tok")
             .len()

@@ -59,7 +59,7 @@ def _doc_pairs(batch: pa.Table):
         pl.from_arrow(batch.select(["doc_id", "text"]))
         .with_columns(tok=pl.col("text").str.to_lowercase().str.extract_all(_TOKEN_RE))
         .select("doc_id", "tok")
-        .explode("tok")
+        .explode("tok", empty_as_null=True)
         .drop_nulls("tok")
         .unique()
     )

@@ -78,7 +78,7 @@ def _top_vocab(docs_ds, vocab_size: int, nparts: int):
         )
         out = (
             df.select("ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .drop_nulls("ws")
             .rename({"ws": "token"})
             .group_by("token")
@@ -119,7 +119,7 @@ def _doc_bigrams(batch: pa.Table, vocab: list[str]):
     )
     tok = (
         df.select("doc_id", "ws")
-        .explode("ws")
+        .explode("ws", empty_as_null=True)
         .drop_nulls("ws")
         .rename({"ws": "cur"})
         .with_columns(

@@ -83,7 +83,7 @@ def fit_nb(docs_ds, label: str = "source", top_v: int = NB_TOP_V):
             .with_columns(
                 tok=pl.col("text").str.to_lowercase().str.extract_all(_WORD_RE)
             )
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls("tok")
             .filter(pl.col("tok").is_in(list(kept_set)))
             .group_by(label, "tok")
@@ -155,7 +155,7 @@ class NbScorer:
                 tok=pl.col("text").str.to_lowercase().str.extract_all(_WORD_RE)
             )
             .select("doc_id", "tok")
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls("tok")
             .rename({"tok": "token"})
             .join(self.lp, on="token", how="inner")

@@ -59,7 +59,11 @@ def _doc_grams_batch(batch: pa.Table, k: int) -> pa.Table:
     )
     parts = [pl.col("ws")]
     # build grams on the exploded word frame via per-doc window shifts
-    words = df.select("doc_id", "ws").explode("ws").rename({"ws": "word"})
+    words = (
+        df.select("doc_id", "ws")
+        .explode("ws", empty_as_null=True)
+        .rename({"ws": "word"})
+    )
     gram_parts = [pl.col("word")]
     for j in range(1, k):
         gram_parts.extend([pl.lit(" "), pl.col("word").shift(-j).over("doc_id")])

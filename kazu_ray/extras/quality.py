@@ -122,7 +122,7 @@ def quality_signals_batch(batch: pa.Table) -> pa.Table:
     )
     words = (
         df.select("doc_id", "ws")
-        .explode("ws")
+        .explode("ws", empty_as_null=True)
         .drop_nulls("ws")
         .rename({"ws": "word"})
     )
@@ -362,7 +362,7 @@ def rare_token_ratio(docs_ds, threshold: int = RARE_THRESHOLD,
         )
         out = (
             df.select("doc_id", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .drop_nulls("ws")
             .rename({"ws": "token"})
             # combiner: occurrences -> (doc_id, token, n) before shuffle
@@ -485,7 +485,7 @@ class _LmScorer:
         )
         scored = (
             df.select("doc_id", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .drop_nulls("ws")
             .rename({"ws": "token"})
             .join(self.lp, on="token", how="left")
@@ -551,7 +551,7 @@ def unigram_lm_scores(docs_ds, vocab_size: int = LM_VOCAB,
         )
         out = (
             df.select("ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .drop_nulls("ws")
             .rename({"ws": "token"})
             .group_by("token")
@@ -666,7 +666,7 @@ def repetition_trim(docs_ds):
             .with_columns(ws=pl.col("text").str.extract_all(_WORD_RE))
             .filter(pl.col("ws").list.len() >= 1)
             .select("doc_id", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .with_columns(keep=pl.col("ws") != pl.col("ws").shift(1).over("doc_id"))
             .with_columns(keep=pl.col("keep").fill_null(True))
         )

@@ -81,7 +81,7 @@ def _doc_token_pairs(batch: pa.Table) -> pa.Table:
             token=pl.col("text").str.to_lowercase().str.extract_all(_WORD_RE)
         )
         .select("doc_id", "token")
-        .explode("token")
+        .explode("token", empty_as_null=True)
         .drop_nulls("token")
         .unique()
         .select("token", "doc_id")
@@ -149,7 +149,7 @@ def _corpus_stats(docs_ds, vocab: list[str]) -> tuple[int, float, dict[str, int]
         terms = (
             df.with_row_index("rid")
             .select("rid", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .drop_nulls("ws")
             .filter(pl.col("ws").is_in(list(vocab_set)))
             .unique()
@@ -218,7 +218,7 @@ def bm25_topk(docs_ds, queries: list[str], k: int = 10):
         dl = docs.select("doc_id", pl.col("ws").list.len().cast(pl.Float64).alias("dl"))
         tf = (
             docs.select("doc_id", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .rename({"ws": "token"})
             .filter(pl.col("token").is_in(vocab))
             .group_by("doc_id", "token")

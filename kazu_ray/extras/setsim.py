@@ -17,18 +17,16 @@ tokens surfaces every true pair.  Rarest-first ordering makes prefix
 buckets small (a stop word never enters a prefix unless a document is
 almost entirely stop words).
 
-Pipeline (all Dataset-native, size-routed like embedding_neardup):
-1. shingle sets per doc (one row per doc);
-2. global df: explode + groupby count.  When the distinct-shingle
-   table fits the broadcast bound it ships once via ``ray.put`` and
-   prefix selection runs INSIDE the original doc blocks (zero
-   exchange); above the bound, the exchange path attaches df in a
-   token-keyed groupby and selects prefixes in a doc-keyed groupby
-   (both paths pytest-pinned equal);
-3. candidates: groupby(prefix shingle) emits in-bucket pairs a < b
-   with the integer length filter (5*min_n >= 4*max_n for t = 0.8 — a
-   Jaccard >= t pair cannot differ in size by more than t) applied
-   BEFORE anything leaves the bucket;
+Pipeline (all Dataset-native; every keyed step is one
+``exchange.hash_reduce`` with a polars reducer over many keys at once):
+1. shingle sets per doc (one row per doc), exploded to (doc_id, token);
+2. global df: a token-keyed exchange attaches df = the token's row
+   count; a doc-keyed exchange sorts each doc's tokens on (df, token)
+   and keeps the first p;
+3. candidates: a prefix-token-keyed exchange self-joins each bucket on
+   token and keeps pairs a < b that pass the integer length filter
+   (5*min_n >= 4*max_n for t = 0.8 — a Jaccard >= t pair cannot differ
+   in size by more than t) BEFORE anything leaves the bucket;
 4. pair-keyed dedup, then exact verification through two hash joins
    that attach each side's shingle string (the candidate set is
    similarity-bounded, not corpus-quadratic; no per-doc table is ever
@@ -39,12 +37,13 @@ Arithmetic is integer until the single final IEEE division
 bit-for-bit; ceil(t*n) is computed as ``(4*n + 4) // 5`` in BOTH
 engines (never 0.8*n in floats — 0.8 is not a binary fraction).
 
-Scale design: the df exchange is vocabulary-bounded; prefix rows are
-at most (1-t)*|set|+1 per doc; the bucket pair stage is quadratic only
-inside one prefix-token bucket (bounded by that token's prefix df —
-the rarest-first order minimizes exactly this); verification joins
-move token sets only for candidate pairs.  No stage is corpus-
-quadratic.
+Scale design: the df and prefix exchanges move each doc's shingle
+rows once each (df is counted where a token's rows meet, so no df
+table is built or broadcast); prefix rows are at most (1-t)*|set|+1
+per doc; the bucket pair stage is quadratic only inside one
+prefix-token bucket (bounded by that token's prefix df — the
+rarest-first order minimizes exactly this); verification joins move
+token sets only for candidate pairs.  No stage is corpus-quadratic.
 
 Reference seam: SURVEY §2l beyond-the-reference dedup family.
 """
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 
 THRESHOLD_NUM, THRESHOLD_DEN = 4, 5  # t = 0.8 as an exact rational
@@ -63,8 +61,9 @@ PAIR_SCHEMA = pa.schema(
 )
 
 
-def _prefix_len(n: int) -> int:
-    """p = n - ceil(t*n) + 1 with t = 4/5, in exact integer math."""
+def _prefix_len(n):
+    """p = n - ceil(t*n) + 1 with t = 4/5, in exact integer math (``n``
+    is an int or a polars integer expression)."""
     return n - (THRESHOLD_NUM * n + THRESHOLD_DEN - 1) // THRESHOLD_DEN + 1
 
 
@@ -104,17 +103,12 @@ def token_sets(ds):
     return ds.map_batches(to_sets, batch_format="pyarrow")
 
 
-BROADCAST_MAX = 200_000  # distinct shingles; above this the df exchange path engages
-
-
-def setsim_join(ds, num_partitions: int = 8, broadcast_max: int = BROADCAST_MAX):
-    """Exact Jaccard >= 4/5 pairs over (doc_id, text) rows.  Pass
-    ``broadcast_max=0`` to force the df exchange path (pytest pins both
-    df routes equal)."""
-    import pandas as pd
+def setsim_join(ds, num_partitions: int = 8):
+    """Exact Jaccard >= 4/5 pairs over (doc_id, text) rows: returns
+    (candidate pairs, verified pairs)."""
     import polars as pl
-    import ray
 
+    from kazu_ray.exchange import hash_reduce
     from kazu_ray.joins import hash_join
 
     sets = (
@@ -122,131 +116,64 @@ def setsim_join(ds, num_partitions: int = 8, broadcast_max: int = BROADCAST_MAX)
         .filter(expr="n > 0")
         .materialize()
     )
+    token_schema = pa.schema(
+        [("doc_id", pa.int64()), ("token", pa.string()), ("n", pa.int64())]
+    )
+    df_schema = token_schema.append(pa.field("df", pa.int64()))
+    pair_keys = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 
     def explode(t: pa.Table) -> pa.Table:
         out = (
             pl.from_arrow(t.select(["doc_id", "words", "n"]))
-            .explode("words")
+            .explode("words", empty_as_null=True)
             .rename({"words": "token"})
         )
-        return out.to_arrow().cast(
-            pa.schema(
-                [("doc_id", pa.int64()), ("token", pa.string()),
-                 ("n", pa.int64())]
+        return out.to_arrow().cast(token_schema)
+
+    def attach_df(t: pa.Table) -> pa.Table:
+        # every row of a token is in this partition: df = its row count
+        out = pl.from_arrow(t).with_columns(df=pl.len().over("token"))
+        return out.to_arrow().cast(df_schema)
+
+    def prefix_rows(t: pa.Table) -> pa.Table:
+        # every row of a doc is in this partition: rank its tokens
+        # rarest first and keep the first p = _prefix_len(n)
+        out = (
+            pl.from_arrow(t)
+            .sort(["doc_id", "df", "token"])
+            .filter(
+                pl.int_range(pl.len()).over("doc_id")
+                < _prefix_len(pl.col("n"))
             )
+            .select("doc_id", "token", "n")
         )
+        return out.to_arrow().cast(token_schema)
 
-    exploded = sets.map_batches(explode, batch_format="pyarrow").materialize()
-    dfreq = exploded.groupby("token").count().materialize()
-    n_tokens = dfreq.count()
-
-    prefix_schema = pa.schema(
-        [("doc_id", pa.int64()), ("token", pa.string()), ("n", pa.int64())]
-    )
-
-    if n_tokens <= broadcast_max:
-        # broadcast route: df dict ships once; prefix selection runs in
-        # the ORIGINAL doc blocks — zero additional exchange
-        df_map = {
-            r["token"]: int(r["count()"]) for r in dfreq.take_all()
-        }
-        df_ref = ray.put(df_map)
-
-        class PrefixSelect:
-            """Vectorized in-block prefix selection: explode + one
-            columnar join against the broadcast df frame + window
-            rank — no Python per row."""
-
-            def __init__(self, ref):
-                dfm = ray.get(ref)
-                self.df_frame = pl.DataFrame(
-                    {"token": list(dfm.keys()),
-                     "df": list(dfm.values())}
-                ).with_columns(pl.col("df").cast(pl.Int64))
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                out = (
-                    pl.from_arrow(t.select(["doc_id", "words", "n"]))
-                    .explode("words")
-                    .rename({"words": "token"})
-                    .join(self.df_frame, on="token", how="left")
-                    .sort(["doc_id", "df", "token"])
-                    .with_columns(
-                        rank=pl.int_range(pl.len()).over("doc_id"),
-                        p=pl.col("n")
-                        - (THRESHOLD_NUM * pl.col("n") + THRESHOLD_DEN - 1)
-                        // THRESHOLD_DEN
-                        + 1,
-                    )
-                    .filter(pl.col("rank") < pl.col("p"))
-                    .select("doc_id", "token", "n")
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        # in-bucket pairs a < b with the integer length filter:
+        # Jaccard >= 4/5 forces 5*min(n) >= 4*max(n)
+        df = pl.from_arrow(t)
+        out = (
+            df.join(df, on="token", suffix="_b")
+            .filter(
+                (pl.col("doc_id") < pl.col("doc_id_b"))
+                & (
+                    THRESHOLD_DEN * pl.min_horizontal("n", "n_b")
+                    >= THRESHOLD_NUM * pl.max_horizontal("n", "n_b")
                 )
-                return out.to_arrow().cast(prefix_schema)
-
-        prefixes = sets.map_batches(
-            PrefixSelect,
-            fn_constructor_args=(df_ref,),
-            concurrency=(1, 4),
-            batch_format="pyarrow",
-        )
-    else:
-        # exchange route: df(token) == the token group's row count, so
-        # ONE token-keyed groupby both computes df and attaches it
-        def attach_df(g: pd.DataFrame) -> pd.DataFrame:
-            out = g[["doc_id", "token", "n"]].copy()
-            out["df"] = out.groupby("token")["doc_id"].transform("size")
-            return out.astype(
-                {"doc_id": "int64", "n": "int64", "df": "int64"}
             )
-
-        ranked = exploded.groupby("token").map_groups(
-            attach_df, batch_format="pandas"
+            .select(doc_a="doc_id", doc_b="doc_id_b")
         )
+        return out.to_arrow().cast(pair_keys)
 
-        def prefix_rows(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["doc_id", "df", "token"])
-            p = g.groupby("doc_id")["n"].transform(
-                lambda s: _prefix_len(int(s.iloc[0]))
-            )
-            g["rank"] = g.groupby("doc_id").cumcount()
-            keep = g[g["rank"] < p]
-            return keep[["doc_id", "token", "n"]].astype(
-                {"doc_id": "int64", "n": "int64"}
-            )
+    def dedup(t: pa.Table) -> pa.Table:
+        return pl.from_arrow(t).unique().to_arrow().cast(pair_keys)
 
-        prefixes = (
-            ranked.groupby("doc_id")
-            .map_groups(prefix_rows, batch_format="pandas")
-        )
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        ns = g["n"].to_numpy()
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"doc_a": [], "doc_b": []}
-            ).astype({"doc_a": "int64", "doc_b": "int64"})
-        ia, ib = np.triu_indices(len(ids), k=1)
-        na, nb = ns[ia], ns[ib]
-        # integer length filter: Jaccard >= 4/5 forces 5*min >= 4*max
-        keep = (ids[ia] != ids[ib]) & (
-            THRESHOLD_DEN * np.minimum(na, nb)
-            >= THRESHOLD_NUM * np.maximum(na, nb)
-        )
-        return pd.DataFrame({"doc_a": ids[ia[keep]], "doc_b": ids[ib[keep]]})
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"])[
-            ["doc_a", "doc_b"]
-        ].astype({"doc_a": "int64", "doc_b": "int64"})
-
-    candidates = (
-        prefixes.groupby("token")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .groupby(["doc_a", "doc_b"])
-        .map_groups(dedup, batch_format="pandas")
-    )
+    exploded = sets.map_batches(explode, batch_format="pyarrow")
+    ranked = hash_reduce(exploded, ["token"], attach_df, num_partitions)
+    prefixes = hash_reduce(ranked, ["doc_id"], prefix_rows, num_partitions)
+    pairs = hash_reduce(prefixes, ["token"], bucket_pairs, num_partitions)
+    candidates = hash_reduce(pairs, ["doc_a", "doc_b"], dedup, num_partitions)
 
     with_a = hash_join(
         candidates,
@@ -256,7 +183,7 @@ def setsim_join(ds, num_partitions: int = 8, broadcast_max: int = BROADCAST_MAX)
         left_on="doc_a",
         right_on="a_id",
         num_partitions=num_partitions,
-        left_schema=pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())]),
+        left_schema=pair_keys,
         right_schema=pa.schema(
             [("a_id", pa.int64()), ("wstr_a", pa.string())]
         ),

@@ -210,7 +210,7 @@ def heavy_hitters_tokens(ds, text: str = "text", k: int = 64, nparts: int = 8):
         df = (
             pl.from_arrow(t.select([text]))
             .select(pl.col(text).str.to_lowercase().str.extract_all(r"[a-z0-9]+"))
-            .explode(text)
+            .explode(text, empty_as_null=True)
             .drop_nulls()
             .group_by(text)
             .len()
@@ -324,7 +324,7 @@ def hll_distinct_tokens(ds, text: str = "text", nparts: int = 8):
         toks = (
             pl.from_arrow(t.select([text]))
             .select(pl.col(text).str.to_lowercase().str.extract_all(r"[a-z0-9]+"))
-            .explode(text)
+            .explode(text, empty_as_null=True)
             .drop_nulls()
             .unique()[text]
         )
@@ -449,7 +449,7 @@ def cms_sketch_tokens(ds, text: str = "text", nparts: int = 8) -> np.ndarray:
         counts = (
             pl.from_arrow(t.select([text]))
             .select(pl.col(text).str.to_lowercase().str.extract_all(r"[a-z0-9]+"))
-            .explode(text)
+            .explode(text, empty_as_null=True)
             .drop_nulls()
             .group_by(text)
             .len()
@@ -576,7 +576,7 @@ def hll_group_distinct_tokens(ds, key: str = "source", text: str = "text",
                 tok=pl.col(text).str.to_lowercase().str.extract_all(r"[a-z0-9]+")
             )
             .drop(text)
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls()
             .unique()
         )

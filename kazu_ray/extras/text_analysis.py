@@ -289,7 +289,7 @@ def tfidf_keywords(docs_ds, k: int = TFIDF_TOP_K, num_partitions: int | None = N
             pl.from_arrow(batch.select(["doc_id", "text"]))
             .with_columns(ws=pl.col("text").str.to_lowercase().str.extract_all(_TFIDF_WORD_RE))
             .select("doc_id", "ws")
-            .explode("ws")
+            .explode("ws", empty_as_null=True)
             .drop_nulls("ws")
             .rename({"ws": "term"})
             .group_by("doc_id", "term")
@@ -396,7 +396,7 @@ def q_source_mode(sf_dir: str):
             .with_columns(
                 tok=pl.col("text").str.to_lowercase().str.extract_all(_TFIDF_WORD_RE)
             )
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls("tok")
             .group_by("source", "tok")
             .len()
@@ -480,7 +480,7 @@ def q_source_distinct_tokens(sf_dir: str):
             .with_columns(
                 tok=pl.col("text").str.to_lowercase().str.extract_all(_TFIDF_WORD_RE)
             )
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls("tok")
             .unique(subset=["source", "tok"])
             .select("source", "tok")

@@ -178,7 +178,7 @@ def mutations_flat(batch: pa.Table, inject: bool = False) -> pa.Table:
     out = (
         df.with_columns(match=scanned.str.extract_all(MUTATION_REGEX))
         .select("doc_id", "match")
-        .explode("match")
+        .explode("match", empty_as_null=True)
         .drop_nulls("match")
         .with_columns(mutation_type=cls)
     )

@@ -20,15 +20,18 @@ Scale story (two counting passes, both streaming):
    with a final period) capped at its local top ``max_candidates`` by
    dotted count, plus two marker rows (total tokens / total
    period-final tokens), so the driver merge is bounded by
-   partitions x (cap + 2) rows BY CONSTRUCTION.  Abbreviation
-   classification is a tiny driver loop over that candidate table.
+   partitions x (cap + 2) rows BY CONSTRUCTION.  Every type lives in
+   one partition, so the local tops hold the global top; the driver
+   keeps that global top, and the result does not depend on the
+   partition count.  Abbreviation classification is a tiny driver
+   loop over that candidate table.
 2. CONTEXT COUNTS — the abbreviation set is broadcast once via
    ``ray.put``; per-batch partials carry per-type orthographic-context
    flag ORs, total/after-break counts and candidate-adjacent pair
    counts, exchanged and capped the same way (``max_types`` per
-   partition for ortho/starter rows; pairs are bounded because only
-   pairs whose FIRST token is period-final are counted, mirroring the
-   paper's collocation restriction).
+   partition, then globally, for ortho/starter rows; pairs are bounded
+   because only pairs whose FIRST token is period-final are counted,
+   mirroring the paper's collocation restriction).
 
 The decision phase is an embarrassingly parallel ``map_batches``
 (``PunktSentencizer`` / ``add_sentence_spans_punkt``) with the learned
@@ -264,7 +267,8 @@ def _candidates_in_part(group, max_candidates: int):
     """Per-partition: exact sums, then emit only abbreviation
     candidates (bare types with a dotted occurrence) as
     (bare, n_with, n_without), capped at the local top
-    ``max_candidates`` by dotted count; marker sums ride along."""
+    ``max_candidates`` by dotted count (pruning only: the driver cuts
+    the global top); marker sums ride along."""
     import polars as pl
 
     df = (
@@ -290,6 +294,13 @@ def _candidates_in_part(group, max_candidates: int):
         .head(max_candidates)
     )
     return pl.concat([cands, markers]).to_pandas()
+
+
+def _global_top(rows: list[dict], count: str, name: str, k: int) -> list[dict]:
+    """The first ``k`` rows by (count desc, name asc), the reducers' own
+    order.  Each name occurs in one row: the exchange put all of its
+    partials in one partition, whose reducer summed them."""
+    return sorted(rows, key=lambda r: (-int(r[count]), r[name]))[:k]
 
 
 def train_punkt(docs_ds, text_column: str = "text",
@@ -318,15 +329,17 @@ def train_punkt(docs_ds, text_column: str = "text",
     rows = counts.take_all()
     n_tokens = sum(int(r["n_without"]) for r in rows if r["bare"] == "")
     n_period_toks = sum(int(r["n_with"]) for r in rows if r["bare"] == "")
-    abbrevs = set()
-    for r in rows:
-        bare = r["bare"]
-        if not bare:
-            continue
+    cands = _global_top(
+        [r for r in rows if r["bare"]], "n_with", "bare", max_candidates
+    )
+    abbrevs = {
+        r["bare"]
+        for r in cands
         if _classify_abbrev(
-            bare, int(r["n_with"]), int(r["n_without"]), n_period_toks, n_tokens
-        ):
-            abbrevs.add(bare)
+            r["bare"], int(r["n_with"]), int(r["n_without"]),
+            n_period_toks, n_tokens,
+        )
+    }
     base = PunktParameters(abbrev_types=frozenset(abbrevs))
 
     # ---- pass 2: ortho context / sentence starters / collocations
@@ -343,23 +356,16 @@ def train_punkt(docs_ds, text_column: str = "text",
         nparts,
     )
     crows = ctx.take_all()
-    n_breaks = 0
-    ortho: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    after_break: dict[str, int] = {}
-    pair_counts: dict[tuple[str, str], int] = {}
-    for r in crows:
-        kind = r["kind"]
-        if kind == "marker":
-            n_breaks += int(r["n"])
-        elif kind == "type":
-            t = r["a"]
-            ortho[t] = ortho.get(t, 0) | int(r["flags"])
-            totals[t] = totals.get(t, 0) + int(r["n"])
-            after_break[t] = after_break.get(t, 0) + int(r["n_break"])
-        else:  # pair
-            key = (r["a"], r["b"])
-            pair_counts[key] = pair_counts.get(key, 0) + int(r["n"])
+    n_breaks = sum(int(r["n"]) for r in crows if r["kind"] == "marker")
+    types = _global_top(
+        [r for r in crows if r["kind"] == "type"], "n", "a", max_types
+    )
+    ortho = {r["a"]: int(r["flags"]) for r in types}
+    totals = {r["a"]: int(r["n"]) for r in types}
+    after_break = {r["a"]: int(r["n_break"]) for r in types}
+    pair_counts = {
+        (r["a"], r["b"]): int(r["n"]) for r in crows if r["kind"] == "pair"
+    }
 
     starters = set()
     for t, cab in after_break.items():
@@ -489,7 +495,8 @@ def _context_batch(batch: pa.Table, params_ref, text_column: str) -> pa.Table:
 
 def _context_in_part(group, max_types: int):
     """Per-partition merge for pass 2, capped at the local top
-    ``max_types`` type rows by total count (pairs and markers always
+    ``max_types`` type rows by total count (pruning only: the driver
+    cuts the global top; pairs and markers always
     emitted — pairs are bounded by the candidate-adjacency restriction,
     markers are one row per upstream block)."""
     import polars as pl

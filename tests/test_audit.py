@@ -1,6 +1,6 @@
 """Constraint audit (extras/audit.py): exact SQL parity on the real
-tables (also via test_oracle_parity), broadcast-vs-anti-join path
-equality, and planted FK violations detected with exact counts."""
+tables (also via test_oracle_parity), planted FK violations detected
+with exact counts, and an empty parent table."""
 
 import os
 import tempfile
@@ -28,21 +28,19 @@ def _oracle(sf_dir: str) -> pd.DataFrame:
     return con.execute(constraint_audit_oracle_sql()).df()
 
 
-def test_paths_equal_and_oracle_parity(ray_session):
+def test_oracle_parity_and_clean_fks(ray_session):
     exp = _oracle(SF)
-    got_b = q_constraint_audit(SF).to_pandas()
-    got_a = q_constraint_audit(SF, broadcast_max_parent=-1).to_pandas()
-    pd.testing.assert_frame_equal(got_b, exp, check_dtype=False)
-    pd.testing.assert_frame_equal(got_a, exp, check_dtype=False)
+    got = q_constraint_audit(SF).to_pandas()
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
     # the corpus FKs are clean; zero still proves the check ran
-    fks = got_b[got_b["constraint_name"].str.startswith("fk_")]
+    fks = got[got["constraint_name"].str.startswith("fk_")]
     assert (fks["n_violations"] == 0).all() and (fks["n_rows"] > 0).all()
 
 
 def test_planted_fk_violations_counted(ray_session):
     """Corrupt a copy of the corpus (drop half the customers, break
-    three o_custkey values) — both routing paths must count exactly
-    the planted violations."""
+    three o_custkey values) — the audit must count exactly the planted
+    violations."""
     with tempfile.TemporaryDirectory() as d:
         for t in TABLES:
             df = pd.read_parquet(f"{SF}/{t}.parquet")
@@ -53,12 +51,10 @@ def test_planted_fk_violations_counted(ray_session):
                 df.loc[df.index[:3], "o_custkey"] = -999
             df.to_parquet(os.path.join(d, f"{t}.parquet"))
         exp = _oracle(d)
-        got_b = q_constraint_audit(d).to_pandas()
-        got_a = q_constraint_audit(d, broadcast_max_parent=-1).to_pandas()
-        pd.testing.assert_frame_equal(got_b, exp, check_dtype=False)
-        pd.testing.assert_frame_equal(got_a, exp, check_dtype=False)
+        got = q_constraint_audit(d).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
         viol = dict(
-            zip(got_b["constraint_name"], got_b["n_violations"])
+            zip(got["constraint_name"], got["n_violations"])
         )
         # odd custkeys vanished + 3 planted bad keys
         assert viol["fk_orders_custkey"] > 3
@@ -66,8 +62,8 @@ def test_planted_fk_violations_counted(ray_session):
 
 def test_empty_parent_table_counts_all_children(ray_session):
     """An empty parent snapshot (the catastrophic-ingest case the
-    audit exists for) must report every child row as a violation, on
-    both routing paths — regression: the broadcast path crashed."""
+    audit exists for) must report every child row as a violation; the
+    anti-join's explicit schemas carry the empty side."""
     with tempfile.TemporaryDirectory() as d:
         for t in TABLES:
             df = pd.read_parquet(f"{SF}/{t}.parquet")
@@ -75,9 +71,7 @@ def test_empty_parent_table_counts_all_children(ray_session):
                 df = df.iloc[0:0]
             df.to_parquet(os.path.join(d, f"{t}.parquet"))
         exp = _oracle(d)
-        got_b = q_constraint_audit(d).to_pandas()
-        got_a = q_constraint_audit(d, broadcast_max_parent=-1).to_pandas()
-        pd.testing.assert_frame_equal(got_b, exp, check_dtype=False)
-        pd.testing.assert_frame_equal(got_a, exp, check_dtype=False)
-        row = got_b[got_b["constraint_name"] == "fk_customer_nationkey"].iloc[0]
+        got = q_constraint_audit(d).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+        row = got[got["constraint_name"] == "fk_customer_nationkey"].iloc[0]
         assert row["n_violations"] == row["n_rows"] > 0

@@ -99,24 +99,26 @@ def test_distributed_matches_reference(ray_session):
     ).all()
 
 
-def test_cogroup_fallback_equals_broadcast(ray_session):
+def test_cogroup_fallback_equals_broadcast(ray_session, monkeypatch):
     """Forcing the loser table past the broadcast cap exercises the
     co-group path; both routes must produce the identical frame."""
     import ray.data as rd
 
-    from kazu_ray.extras.cdc import cdc_dedup
+    import kazu_ray.extras.cdc as cdc
 
     ds = rd.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     )
+    monkeypatch.setattr(cdc, "BROADCAST_MAX_LOSERS", 10**9)
     a = (
-        cdc_dedup(ds, broadcast_max_losers=10**9)
+        cdc.cdc_dedup(ds)
         .sort("doc_id")
         .to_pandas()
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(cdc, "BROADCAST_MAX_LOSERS", -1)
     b = (
-        cdc_dedup(ds, broadcast_max_losers=-1)
+        cdc.cdc_dedup(ds)
         .sort("doc_id")
         .to_pandas()
         .reset_index(drop=True)

@@ -6,6 +6,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+import kazu_ray.extras.chunk_dedup as chunk_dedup_mod
+
 
 def _oracle(docs: pd.DataFrame, k: int) -> pd.DataFrame:
     from kazu_ray.extras.chunk_dedup import chunk_dedup_oracle_sql
@@ -15,14 +17,14 @@ def _oracle(docs: pd.DataFrame, k: int) -> pd.DataFrame:
     return con.execute(chunk_dedup_oracle_sql(k)).df()
 
 
-def _run(docs: pd.DataFrame, k: int, nparts: int, **kw) -> pd.DataFrame:
+def _run(docs: pd.DataFrame, k: int, nparts: int) -> pd.DataFrame:
     import ray.data as rd
 
     from kazu_ray.extras.chunk_dedup import chunk_dedup
 
     ds = rd.from_arrow(pa.Table.from_pandas(docs, preserve_index=False))
     return (
-        chunk_dedup(ds, k=k, num_partitions=nparts, **kw)
+        chunk_dedup(ds, k=k, num_partitions=nparts)
         .sort("doc_id")
         .to_pandas()
         .reset_index(drop=True)
@@ -102,7 +104,7 @@ def test_chunk_dedup_trailing_partial_chunk(ray_session):
 
 
 @pytest.mark.parametrize("max_losers", [0, 10_000_000])
-def test_chunk_dedup_both_routes_match_oracle(ray_session, max_losers):
+def test_chunk_dedup_both_routes_match_oracle(ray_session, monkeypatch, max_losers):
     # max_losers=0 forces the co-group fallback (text crosses one
     # exchange); the big cap forces the broadcast path (text never
     # leaves a batch).  Both must be bit-equal to the SQL oracle,
@@ -116,19 +118,21 @@ def test_chunk_dedup_both_routes_match_oracle(ray_session, max_losers):
             ],
         }
     )
-    got = _run(docs, k=4, nparts=5, broadcast_max_losers=max_losers)
+    monkeypatch.setattr(chunk_dedup_mod, "BROADCAST_MAX_LOSERS", max_losers)
+    got = _run(docs, k=4, nparts=5)
     _assert_equal(got, _oracle(docs, k=4))
     assert (got["n_kept"] < got["n_chunks"]).any()
 
 
-def test_chunk_dedup_fallback_no_losers(ray_session):
+def test_chunk_dedup_fallback_no_losers(ray_session, monkeypatch):
     # all-unique corpus through BOTH routes: the loser table is empty,
     # which must not break the broadcast anti-join or the union schema
     docs = pd.DataFrame(
         {"doc_id": [0, 1], "text": ["alpha beta gamma", "delta epsilon zeta"]}
     )
     for cap in (0, 100):
-        got = _run(docs, k=2, nparts=3, broadcast_max_losers=cap)
+        monkeypatch.setattr(chunk_dedup_mod, "BROADCAST_MAX_LOSERS", cap)
+        got = _run(docs, k=2, nparts=3)
         assert got["n_kept"].tolist() == got["n_chunks"].tolist()
         _assert_equal(got, _oracle(docs, k=2))
 

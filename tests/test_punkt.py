@@ -83,6 +83,18 @@ def test_training_is_deterministic(ray_session):
     assert p1.ortho_context == p2.ortho_context
 
 
+def test_binding_caps_do_not_depend_on_partitions(ray_session):
+    """With caps small enough to bind, the learned parameters are the
+    global top-k, the same at 1 and 4 exchange partitions."""
+    ds = rd.from_arrow(prose_table(120))
+    p1, p4 = (
+        train_punkt(ds, max_candidates=3, max_types=20, num_partitions=n)
+        for n in (1, 4)
+    )
+    assert len(p1.ortho_context) == 20
+    assert p1 == p4
+
+
 def test_hard_cases(trained_params):
     p = trained_params
     # abbreviation followed by lowercase: no break

@@ -1,5 +1,5 @@
 """Prefix-filtered exact set-similarity join: prefix-length math,
-hand-crafted completeness case, broadcast == exchange routes, and the
+hand-crafted completeness case, partition invariance, and the
 brute-force DuckDB oracle."""
 
 import duckdb
@@ -46,22 +46,20 @@ def test_setsim_hand_case(ray_session):
     assert 8 / 9 >= 0.8
 
 
-def test_setsim_routes_equal(ray_session):
-    """Broadcast route == forced exchange route (broadcast_max=0)."""
+def test_setsim_partition_invariance(ray_session):
+    """The same pair rows at 1 and 8 exchange partitions."""
     import ray.data as rd
 
     ds = rd.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     )
-    _, fast = setsim_join(ds)
-    a = sorted(
-        (r["doc_a"], r["doc_b"], r["jaccard"]) for r in fast.take_all()
-    )
-    _, slow = setsim_join(ds, broadcast_max=0)
-    b = sorted(
-        (r["doc_a"], r["doc_b"], r["jaccard"]) for r in slow.take_all()
-    )
-    assert a == b and len(a) > 0
+    got = []
+    for nparts in (1, 8):
+        _, pairs = setsim_join(ds, num_partitions=nparts)
+        got.append(
+            sorted((r["doc_a"], r["doc_b"], r["jaccard"]) for r in pairs.take_all())
+        )
+    assert got[0] == got[1] and len(got[0]) > 0
 
 
 def test_setsim_oracle_parity(ray_session):

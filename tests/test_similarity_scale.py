@@ -67,12 +67,13 @@ def test_embedding_neardup_cells_vs_exact(ray_session):
         assert abs(r["cosine"] - exact_scores[(r["vec_a"], r["vec_b"])]) < 1e-9
 
 
-def test_embedding_neardup_routes_by_size(ray_session):
-    """broadcast_limit=0 must force the cells path (same public entry)."""
-    from kazu_ray.extras.dedup import q_embedding_neardup
+def test_embedding_neardup_routes_by_size(ray_session, monkeypatch):
+    """BROADCAST_LIMIT=0 must force the cells path (same public entry)."""
+    import kazu_ray.extras.dedup as dedup
 
-    routed = q_embedding_neardup(SF, broadcast_limit=0).take_all()
-    exact = q_embedding_neardup(SF).take_all()
+    exact = dedup.q_embedding_neardup(SF).take_all()
+    monkeypatch.setattr(dedup, "BROADCAST_LIMIT", 0)
+    routed = dedup.q_embedding_neardup(SF).take_all()
     assert _pairset(routed, "vec_a", "vec_b") <= _pairset(exact, "vec_a", "vec_b")
     assert len(routed) >= 0.9 * len(exact)
 
