@@ -131,24 +131,24 @@ def run_bench() -> dict:
 
     # corpus synthesis is input preparation, not pipeline work: build the
     # interleaved corpus once (untimed) and time the engine on it.
-    # Block count: actor-pool tasks schedule at BLOCK granularity, so the
-    # tail of the run is bounded by the slowest in-flight block.  ~4
-    # blocks per actor (measured sweep at 16/32 CPUs: 32 blocks → 1
-    # task/actor = 45-47 s, 64-128 blocks → 31-34 s at 32 CPUs; 256+
+    # Block count: the fused stage's tasks schedule at BLOCK granularity,
+    # so the tail of the run is bounded by the slowest in-flight block.
+    # ~4 blocks per CPU (measured sweep at 16/32 CPUs: 32 blocks → 1
+    # task/CPU = 45-47 s, 64-128 blocks → 31-34 s at 32 CPUs; 256+
     # re-amplifies per-block combiner output and regresses) keeps the
-    # tail ~1/4 of an actor's work without flooding the downstream
+    # tail ~1/4 of one worker's share without flooding the downstream
     # canonicalize groupby with per-block partials.
     blocks = max(32, 4 * NUM_CPUS)
     docs = interleaved_docs(SF_DIR, parallelism=blocks, repeat=REPEAT).materialize()
     n_docs = docs.count()
-    # fixed full-size pool: the input is materialized, so the actor stage
-    # cannot starve its own producer; downstream shuffle tasks interleave
-    # as actors drain (measured faster than reserving headroom CPUs at
-    # every level, and symmetric across scaling levels)
+    # cap at every CPU: the input is materialized, so the fused tasks
+    # cannot starve their own producer; downstream shuffle tasks
+    # interleave as the fused tasks drain (measured faster than reserving
+    # headroom CPUs at every level, and symmetric across scaling levels)
     pool = NUM_CPUS
 
     def kg():
-        edges = edges_pipeline(docs, dicts, concurrency=(pool, pool)).materialize()
+        edges = edges_pipeline(docs, dicts, concurrency=pool).materialize()
         nodes = nodes_from_edges(edges, dicts.metadata_path)
         edges.count()
         nodes.count()

@@ -1,10 +1,12 @@
 """The flagship KG-construction pipeline: the fused throughput path.
 
-``edges_pipeline()`` runs ONE fused actor pool over interleaved docs
+``edges_pipeline()`` runs ONE fused task stage over interleaved docs
 (doc_id, spans): dictionary NER + abbrev + cascade + cleanup + merge +
 triple emission per doc, python dicts in-memory between the fused steps,
 then the per-batch combiner and the two-tier canonicalization (mentions
-bypass the shuffle; ontology-bounded preds aggregate).  It mirrors the
+bypass the shuffle; ontology-bounded preds aggregate).  Each worker
+process keeps one cached ``AnnotateEmitTriples`` (side tables and memos)
+across tasks and Dataset executions.  It mirrors the
 reference's default step order
 (/root/reference/kazu/conf/Pipeline/default.yaml:4-12) with the
 document-local steps fused (SURVEY.md §7 stage 6).  The staged,
@@ -44,14 +46,15 @@ def prefilter_batch(batch):
 
 
 class AnnotateEmitTriples:
-    """Fused actor-pool UDF for the edges-only flagship path: dictionary
-    NER + doc-local post-processing + triple emission in ONE pool.
+    """Fused per-doc work of the edges-only flagship path: dictionary
+    NER + doc-local post-processing + triple emission in ONE call.
 
     One Arrow decode per doc row, python dicts flow between the fused
     steps in-memory, and only the (small) triple columns are re-encoded —
     no nested ``entities`` column round-trips through the object store.
     The conceptual stages are the same classes ``pipelines.config.build``
-    runs as separate pools.
+    runs as separate pools.  ``edges_pipeline`` runs it as a task stage
+    through ``cached_AnnotateEmitTriples``, one instance per worker.
     """
 
     def __init__(
@@ -66,7 +69,7 @@ class AnnotateEmitTriples:
         self.post = DocPostProcessor(
             synonyms_path, metadata_path, contexts_path=contexts_path
         )
-        self.failed_docs = 0  # per-actor failure counter (row isolation)
+        self.failed_docs = 0  # per-worker failure counter (row isolation)
         # when set, skipped/failed docs come back as side-output rows
         # (dl_doc_id, dl_error) appended to the partial-edge table, so
         # dead-letter extraction costs no second scan of the shard
@@ -119,10 +122,10 @@ class AnnotateEmitTriples:
                 import logging
 
                 logging.getLogger(__name__).exception(
-                    "doc %s failed; skipping (failures this actor: %d)",
+                    "doc %s failed; skipping (failures this worker: %d)",
                     doc_id, self.failed_docs,
                 )
-        # apply the per-batch combiner at the source: the actor's output
+        # apply the per-batch combiner at the source: the stage's output
         # is already partial edge rows, so downstream skips a full map
         # pass and ships ~40% fewer rows through the object store
         edges = partial_edge_agg(triple_columns_to_table(out))
@@ -154,19 +157,55 @@ class AnnotateEmitTriples:
         )
 
 
+_fused_cache: dict = {}  # one slot per worker process: side-table key -> AnnotateEmitTriples
+
+
+def cached_AnnotateEmitTriples(  # noqa: N802 — Ray Data labels the operator by this name
+    batch: pa.Table,
+    curations_path: str,
+    synonyms_path: str,
+    metadata_path: str,
+    emit_dead_letter: bool,
+) -> pa.Table:
+    """Task UDF of the fused flagship stage: runs ``batch`` through this
+    worker process's one cached ``AnnotateEmitTriples``.
+
+    Ray reuses task workers across Dataset executions, so passes and
+    partitions after the first find the side tables loaded and the
+    emission and cascade memos warm (an actor pool would start cold, and
+    be torn down, once per execution).  The key is each side table's
+    (path, size, mtime_ns) plus ``emit_dead_letter``: a table recompiled
+    at the same path is reloaded, and another dictionary set replaces the
+    held one, so a worker holds at most one.  The name keeps the class
+    name because Ray Data names the operator after its UDF."""
+    paths = (curations_path, synonyms_path, metadata_path)
+    key = tuple(
+        (p, st.st_size, st.st_mtime_ns) for p, st in zip(paths, map(os.stat, paths))
+    ) + (emit_dead_letter,)
+    fused = _fused_cache.get(key)
+    if fused is None:
+        _fused_cache.clear()  # drop the old dictionaries before loading new ones
+        fused = _fused_cache[key] = AnnotateEmitTriples(
+            *paths, emit_dead_letter=emit_dead_letter
+        )
+    return fused(batch)
+
+
 def edges_pipeline(
     docs_ds,
     dicts: CompiledDicts,
     *,
-    concurrency=4,
+    concurrency: int = 4,
     batch_size=256,
     with_dead_letter: bool = False,
 ):
-    """docs -> canonical edges Dataset, fully fused single-pool path.
+    """docs -> canonical edges Dataset, fully fused single-stage path.
 
-    ``batch_size`` counts input rows of ``docs_ds``; pick it so one batch
-    is ~0.2-0.5s of actor work (too small → scheduler-bound, too large →
-    pool starves at the tail).  If an upstream generator expands rows
+    The fused stage runs as Ray tasks, at most ``concurrency`` at once,
+    each on its worker's cached ``AnnotateEmitTriples``.  ``batch_size``
+    counts input rows of ``docs_ds``; pick it so one batch is ~0.2-0.5s
+    of fused work (too small → scheduler-bound, too large → the last
+    tasks run alone at the tail).  If an upstream generator expands rows
     (corpus repeat amplifier), materialize it first or lower batch_size.
 
     ``with_dead_letter=True`` returns ``(edges, dead_letter)`` where the
@@ -175,15 +214,16 @@ def edges_pipeline(
     from ..context import tune_context
 
     tune_context()
-    # the over-length guard runs inline in the actor (no separate
+    # the over-length guard runs inline in the fused stage (no separate
     # full-corpus pass)
     triples = docs_ds.map_batches(
-        AnnotateEmitTriples,
-        fn_constructor_args=(dicts.curations_path, dicts.synonyms_path, dicts.metadata_path),
-        fn_constructor_kwargs={"emit_dead_letter": with_dead_letter},
+        cached_AnnotateEmitTriples,
+        fn_args=(
+            dicts.curations_path, dicts.synonyms_path, dicts.metadata_path, with_dead_letter
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=(1, concurrency) if isinstance(concurrency, int) else concurrency,
+        concurrency=concurrency,
         num_cpus=1,
     )
     if not with_dead_letter:
@@ -215,7 +255,7 @@ def run_partitioned(
     *,
     num_partitions: int = 4,
     resume: bool = True,
-    ner_concurrency=4,
+    ner_concurrency: int = 4,
 ) -> dict:
     """Partitioned, resumable end-to-end run over documents.parquet.
 
@@ -226,6 +266,10 @@ def run_partitioned(
     writes ``edges/part=K/`` + ``nodes/part=K/`` atomically-ish and
     records lineage.  On resume, the staging layout and completed
     partitions are both reused.
+
+    ``ner_concurrency`` caps the concurrent fused tasks of each
+    partition's ``edges_pipeline``; the workers keep their cached fused
+    state from one partition to the next.
     """
     import pyarrow.compute as pc
     import ray.data as rd

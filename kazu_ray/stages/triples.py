@@ -61,7 +61,7 @@ def triple_columns_to_table(out: dict) -> pa.Table:
 
 def emit_triples_batch(batch: pa.Table) -> pa.Table:
     """map_batches UDF: doc rows (with final ``entities``) -> partial edge
-    rows (triples through the per-batch combiner, like the fused actor)."""
+    rows (triples through the per-batch combiner, like the fused stage)."""
     out = new_triple_columns()
     for doc_id, ents in zip(
         batch.column("doc_id").to_pylist(), batch.column("entities").to_pylist()
@@ -102,7 +102,7 @@ def _merge_edge_partials(group: pa.Table) -> pa.Table:
 
 
 def canonicalize_edges(partial_ds):
-    """partial edge rows (``partial_edge_agg`` output, as the fused actor
+    """partial edge rows (``partial_edge_agg`` output, as the fused stage
     and ``emit_triples_batch`` emit) -> canonical edges Dataset.
 
     Two-tier canonicalization:

@@ -130,7 +130,7 @@ def test_chunk_dedup_fallback_no_losers(ray_session, monkeypatch):
     docs = pd.DataFrame(
         {"doc_id": [0, 1], "text": ["alpha beta gamma", "delta epsilon zeta"]}
     )
-    for cap in (0, 100):
+    for cap in (-1, 100):
         monkeypatch.setattr(chunk_dedup_mod, "BROADCAST_MAX_LOSERS", cap)
         got = _run(docs, k=2, nparts=3)
         assert got["n_kept"].tolist() == got["n_chunks"].tolist()
