@@ -51,7 +51,7 @@ def _kg_nodes(sf_dir: str):
     from kazu_ray.sources.interleave import interleaved_docs
 
     edges = edges_pipeline(interleaved_docs(sf_dir), _dicts()).materialize()
-    return nodes_from_edges(edges, _dicts().metadata_path).sort("curie")
+    return nodes_from_edges(edges, _dicts().metadata_path)
 
 
 def _kg_eval(sf_dir: str):

@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ..constants import PRED_CO_OCCURS, PRED_MAPS_TO, PRED_MENTIONS
 from ..exchange import hash_reduce
-from ..schemas import EDGES_SCHEMA, TRIPLES_SCHEMA
+from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, TRIPLES_SCHEMA
 
 
 def doc_triples(doc_id: str, ents: list[dict], out: dict) -> None:
@@ -87,7 +87,6 @@ def partial_edge_agg(batch: pa.Table) -> pa.Table:
 
 
 _EDGE_MERGE_PARTS = 24  # ontology-bounded key space: a few coarse buckets
-_NODE_PARTS = 8
 
 
 def _merge_edge_partials(group: pa.Table) -> pa.Table:
@@ -157,18 +156,24 @@ def canonicalize_edges(partial_ds):
 
 
 def nodes_from_edges(edges_ds, metadata_path: str):
-    """Canonical node table derived from the (small) canonical edges plus
-    the broadcast metadata side table — avoids a second pass over the
-    full document corpus (every grounded CURIE appears in some edge)."""
+    """Sorted node table ``(curie, source, default_label)`` from the
+    canonical edges plus the metadata side table: no second corpus pass
+    (every grounded CURIE is an edge ``obj`` or a co-occurs ``subj``) and
+    no shuffle.  One task pass emits each block's distinct curies; the
+    driver folds them block by block (unique, sort, KB and label lookup).
+    Bound: the driver holds at most one string per ontology CURIE plus
+    one block's distinct curies, never an edge.
+
+    ``batch_size=None`` gives one batch per block.  Ray Data passes empty
+    blocks on as zero-column tables, which the fold skips.  ``materialize``
+    keeps this one execution: a lazy ``to_arrow_refs`` runs a second one
+    to fetch the schema."""
     import ray
-
-    from ..state.side_tables import load_metadata
-
-    meta = load_metadata(metadata_path)
-    by_idx = {idx: m.get("default_label", "") for (_parser, idx), m in meta.items()}
-    meta_ref = ray.put(by_idx)
-
+    import ray.data as rd
     import pyarrow.compute as pc
+
+    from ..ontology.synth import find_kb
+    from ..state.side_tables import load_metadata
 
     def curie_batch(t: pa.Table) -> pa.Table:
         co = t.filter(pc.equal(t.column("pred"), PRED_CO_OCCURS))
@@ -178,29 +183,22 @@ def nodes_from_edges(edges_ds, metadata_path: str):
         mask = pc.invert(pc.starts_with(curies, "MENTION:"))
         return pa.table({"curie": pc.unique(curies.filter(mask))})
 
-    def enrich(t: pa.Table) -> pa.Table:
-        from ..ontology.synth import find_kb
-
-        labels = ray.get(meta_ref)
-        cs = t.column("curie").to_pylist()
-        return pa.Table.from_pydict(
+    per_block = edges_ds.map_batches(curie_batch, batch_format="pyarrow", batch_size=None)
+    curies = pa.array([], pa.string())
+    for ref in per_block.materialize().to_arrow_refs():
+        t = ray.get(ref)
+        if "curie" in t.column_names:
+            curies = pc.unique(pa.chunked_array([curies, *t.column("curie").chunks]))
+    cs = curies.take(pc.sort_indices(curies)).to_pylist()
+    meta = load_metadata(metadata_path)
+    labels = {idx: m.get("default_label", "") for (_parser, idx), m in meta.items()}
+    return rd.from_arrow(
+        pa.Table.from_pydict(
             {
-                "curie": t.column("curie"),
-                "source": pa.array([find_kb(c) for c in cs], type=pa.string()),
-                "default_label": pa.array(
-                    [labels.get(c, "") for c in cs], type=pa.string()
-                ),
-            }
+                "curie": cs,
+                "source": [find_kb(c) for c in cs],
+                "default_label": [labels.get(c, "") for c in cs],
+            },
+            schema=NODES_SCHEMA,
         )
-
-    # distributed: per-batch unique -> hash(curie) exchange with a
-    # per-partition C++ unique -> enrich with the broadcast metadata table
-    def _node_dedup(group: pa.Table) -> pa.Table:
-        return pa.table({"curie": pc.unique(group.column("curie"))})
-
-    curies = edges_ds.map_batches(curie_batch, batch_format="pyarrow")
-    return (
-        hash_reduce(curies, ["curie"], _node_dedup, _NODE_PARTS)
-        .map_batches(enrich, batch_format="pyarrow")
-        .sort("curie")
     )

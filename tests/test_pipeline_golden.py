@@ -52,7 +52,24 @@ def test_triple_precision_recall(annotated, compiled_dicts):
     recall = tp / max(1, len(exp))
     assert precision >= 0.95, f"precision {precision}"
     assert recall >= 0.95, f"recall {recall}"
-    assert nodes.count() > 0
+    _assert_nodes_exact(nodes.to_pandas(), e, compiled_dicts.metadata_path)
+
+
+def _assert_nodes_exact(nodes, edges, metadata_path):
+    """The node table is exactly the sorted distinct non-MENTION: edge
+    objects and co-occurs subjects, each with find_kb's source and the
+    metadata table's label."""
+    import pyarrow.parquet as pq
+
+    from kazu_ray.ontology.synth import find_kb
+
+    objs = {o for o in edges.obj if not o.startswith("MENTION:")}
+    subjs = set(edges.subj[edges.pred == "co-occurs"])
+    assert list(nodes.curie) == sorted(objs | subjs)
+    meta = pq.read_table(metadata_path, columns=["idx", "default_label"]).to_pydict()
+    labels = dict(zip(meta["idx"], meta["default_label"]))
+    assert list(nodes.source) == [find_kb(c) for c in nodes.curie]
+    assert list(nodes.default_label) == [labels.get(c, "") for c in nodes.curie]
 
 
 def test_entity_annotations_vs_golden(annotated):
